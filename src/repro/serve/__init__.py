@@ -16,9 +16,10 @@ Layers, bottom up:
   the same catalog root: heartbeat crash/hang detection, backoff
   restarts under an intensity cap, re-dispatch of in-flight requests,
   stale fallback when the whole pool is down.
-* :mod:`repro.serve.client` / :mod:`repro.serve.resilience` — the
-  blocking :class:`CatalogClient` plus the retrying, deadline-bounded,
-  breaker-guarded, hedging :class:`ResilientCatalogClient`.
+* :mod:`repro.serve.client` — the blocking :class:`CatalogClient`: one
+  attempt by default, optionally retrying, deadline-bounded,
+  breaker-guarded and hedging; its transport is also the supervisor's
+  hop to a worker.
 * :mod:`repro.serve.shard` — a consistent-hash ring
   (:class:`ShardRing`) partitioning the catalog by (architecture,
   metric) across N shard directories, fronted by
@@ -51,7 +52,14 @@ from repro.serve.catalog import (
     metric_slug,
 )
 from repro.serve.chaos import ChaosReport, definition_digest, run_chaos_drill
-from repro.serve.client import CatalogClient
+from repro.serve.client import (
+    BreakerOpen,
+    CatalogClient,
+    CircuitBreaker,
+    DeadlineExceeded,
+    RetryPolicy,
+    idempotency_key,
+)
 from repro.serve.http import HttpMetricServer, run_server
 from repro.serve.load import (
     LoadReport,
@@ -61,14 +69,6 @@ from repro.serve.load import (
     Workload,
     latency_percentile,
     run_load_drill,
-)
-from repro.serve.resilience import (
-    BreakerOpen,
-    CircuitBreaker,
-    DeadlineExceeded,
-    ResilientCatalogClient,
-    RetryPolicy,
-    idempotency_key,
 )
 from repro.serve.service import (
     AnalysisRequest,
@@ -110,7 +110,6 @@ __all__ = [
     "MetricCatalogStore",
     "MetricService",
     "RequestSpec",
-    "ResilientCatalogClient",
     "RetryPolicy",
     "ServedMetric",
     "ServiceBusy",

@@ -11,7 +11,7 @@ fault-tolerance contract.  It runs the same request plan twice:
    catalog root with a :class:`~repro.faults.chaos.ChaosConfig` armed,
    driven closed-loop (strictly sequential requests, so the
    deterministic per-site injection streams line up run to run) through
-   the retrying :class:`~repro.serve.resilience.ResilientCatalogClient`.
+   a retrying :class:`~repro.serve.client.CatalogClient`.
 
 Every chaos-run response is then classified against the invariant —
 **bit-identical** to the baseline definition, **explicitly stale**, or a
@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.io.digest import json_digest
-from repro.serve.catalog import FsckReport, MetricCatalogStore
-from repro.serve.resilience import ResilientCatalogClient, RetryPolicy
+from repro.serve.catalog import FsckReport
+from repro.serve.client import CatalogClient, RetryPolicy
 from repro.serve.service import MetricService, ServiceError
+from repro.serve.shard import open_catalog
 from repro.serve.supervisor import (
     ServiceSupervisor,
     SupervisorConfig,
@@ -197,12 +198,12 @@ def run_chaos_drill(
 
     async def drive() -> None:
         port = await front.start()
-        client = ResilientCatalogClient(
-            [("127.0.0.1", port)],
+        # No breaker: the drill wants retries, not fast-fail.
+        client = CatalogClient(
+            port=port,
             retry=client_retry
             or RetryPolicy(max_attempts=6, backoff_base=0.05, backoff_cap=0.5),
             deadline=120.0,
-            breaker_factory=None,  # the drill wants retries, not fast-fail
         )
         loop = asyncio.get_running_loop()
         try:
@@ -262,8 +263,9 @@ def run_chaos_drill(
     asyncio.run(drive())
 
     # Post-mortem: the shared store must fsck clean-or-repaired, and the
-    # surviving entries must still be baseline-identical.
-    store = MetricCatalogStore(catalog_root)
+    # surviving entries must still be baseline-identical.  The root may
+    # be sharded (SupervisorConfig.shards), so open it by inspection.
+    store = open_catalog(catalog_root)
     report.fsck = store.fsck(repair=True)
     for row in store.list_entries():
         entry = store.get(

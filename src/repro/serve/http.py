@@ -36,7 +36,7 @@ import asyncio
 import json
 import logging
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.faults.chaos import ChaosInjector
@@ -45,8 +45,9 @@ from repro.serve.service import MetricService, ServiceError
 
 __all__ = [
     "HttpMetricServer",
+    "answer_connection",
     "format_response",
-    "read_http_request",
+    "parse_analysis",
     "run_server",
 ]
 
@@ -56,8 +57,7 @@ _MAX_REQUEST_BYTES = 1 << 20  # 1 MiB: analysis requests are tiny JSON
 
 
 def format_response(status: int, payload: Dict[str, Any]) -> bytes:
-    """Render one HTTP/1.0 JSON response (shared with the supervisor
-    front, which speaks the same wire format)."""
+    """Render one HTTP/1.0 JSON response."""
     body = (json.dumps(payload, sort_keys=True) + "\n").encode()
     reason = {
         200: "OK",
@@ -78,37 +78,90 @@ def format_response(status: int, payload: Dict[str, Any]) -> bytes:
     return head + body
 
 
-async def read_http_request(
+def _split_target(target: str) -> Tuple[List[str], Dict[str, str]]:
+    """A request target's unquoted path segments and query (last value
+    per key)."""
+    split = urlsplit(target)
+    path = [unquote(p) for p in split.path.split("/") if p]
+    return path, {k: v[-1] for k, v in parse_qs(split.query).items()}
+
+
+def parse_analysis(
+    method: str, target: str, body: bytes
+) -> Optional[Tuple[str, str, Optional[str], int, Optional[str]]]:
+    """``(system, domain, metric, seed, faults)`` of a keyed read
+    ``GET /v1/metric/<system>/<domain>/<metric>`` or of an analysis
+    ``POST /v1/analyze`` (``metric`` None); None for any other route.
+    A wrong method raises a 405 and a malformed request a 400
+    :class:`ServiceError` (or ``ValueError`` for a non-integer seed).
+    Shared with the supervisor front, which routes on the same identity.
+    """
+    path, query = _split_target(target)
+    if len(path) == 5 and path[:2] == ["v1", "metric"]:
+        if method != "GET":
+            raise ServiceError(405, {"error": "use GET for /v1/metric"})
+        _, _, system, domain, metric = path
+        seed = int(query.get("seed", 2024))
+        return system, domain, metric, seed, query.get("faults")
+    if path != ["v1", "analyze"]:
+        return None
+    if method != "POST":
+        raise ServiceError(405, {"error": "use POST for /v1/analyze"})
+    try:
+        request = json.loads(body.decode() or "{}")
+    except json.JSONDecodeError as exc:
+        raise ServiceError(400, {"error": f"request body is not JSON: {exc}"})
+    if "system" not in request or "domain" not in request:
+        raise ServiceError(400, {"error": "body must name 'system' and 'domain'"})
+    seed = int(request.get("seed", 2024))
+    return request["system"], request["domain"], None, seed, request.get("faults")
+
+
+async def answer_connection(
     reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, bytes]]:
-    """Read ``(method, target, body)`` off an asyncio stream, or ``None``
-    for an empty/garbled request line.  Shared with the supervisor front."""
-    request_line = await reader.readline()
-    if not request_line.strip():
-        return None
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2:
-        return None
-    method, target = parts[0].upper(), parts[1]
-    content_length = 0
-    while True:
-        line = await reader.readline()
-        if not line.strip():
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = 0
-    if content_length > _MAX_REQUEST_BYTES:
-        raise ServiceError(400, {"error": "request body too large"})
-    body = await reader.readexactly(content_length) if content_length else b""
-    return method, target, body
-
-
-# Backwards-compatible internal alias.
-_response = format_response
+    writer: asyncio.StreamWriter,
+    route: Callable[[str, str, bytes], Awaitable[Tuple[int, Dict[str, Any]]]],
+) -> None:
+    """Answer one connection: read ``(method, target, body)``, respond
+    with ``route``'s ``(status, payload)`` — exceptions mapped onto the
+    error envelope — and close.  An empty or garbled request line gets
+    no response.  Shared with the supervisor front."""
+    try:
+        try:
+            parts = (await reader.readline()).decode("latin-1").split()
+            if len(parts) < 2:
+                return
+            content_length = 0
+            while True:
+                line = await reader.readline()
+                if not line.strip():
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    try:
+                        content_length = int(value.strip())
+                    except ValueError:
+                        content_length = 0
+            if content_length > _MAX_REQUEST_BYTES:
+                raise ServiceError(400, {"error": "request body too large"})
+            body = await reader.readexactly(content_length) if content_length else b""
+            status, payload = await route(parts[0].upper(), parts[1], body)
+        except ServiceError as exc:
+            status, payload = exc.status, exc.payload
+        except (ValidationError, ValueError) as exc:
+            status, payload = 400, {"error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
+            logger.exception("unhandled error serving a request")
+            status, payload = 500, {
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+            }
+        writer.write(format_response(status, payload))
+        await writer.drain()
+    except (ConnectionError, BrokenPipeError):
+        pass
+    finally:
+        writer.close()
 
 
 class HttpMetricServer:
@@ -169,37 +222,12 @@ class HttpMetricServer:
                 # Deliberately block the event loop: a wedged loop is the
                 # pathology the supervisor's heartbeat must detect.
                 time.sleep(chaos.config.hang_seconds)
-        try:
-            raw = await read_http_request(reader)
-            if raw is None:
-                return
-            method, target, body = raw
-            status, payload = await self._route(method, target, body)
-        except ServiceError as exc:
-            status, payload = exc.status, exc.payload
-        except (ValidationError, ValueError) as exc:
-            status, payload = 400, {"error": str(exc)}
-        except Exception as exc:  # noqa: BLE001 — a request must never kill the server
-            logger.exception("unhandled error serving a request")
-            status, payload = 500, {
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            }
-        try:
-            writer.write(_response(status, payload))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
+        await answer_connection(reader, writer, self._route)
 
     async def _route(
         self, method: str, target: str, body: bytes
     ) -> Tuple[int, Dict[str, Any]]:
-        split = urlsplit(target)
-        path = [unquote(p) for p in split.path.split("/") if p]
-        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
-
+        path, query = _split_target(target)
         if path == ["healthz"]:
             return 200, self.service.health()
         if path == ["readyz"]:
@@ -207,44 +235,27 @@ class HttpMetricServer:
                 return 200, {"ready": True}
             return 503, {"ready": False, "error": "service is not ready"}
 
-        if len(path) == 5 and path[:2] == ["v1", "metric"]:
-            if method != "GET":
-                return 405, {"error": "use GET for /v1/metric"}
-            _, _, system, domain, metric = path
-            served = await self.service.get_metric(
-                system,
-                domain,
-                metric,
-                seed=int(query.get("seed", 2024)),
-                faults=query.get("faults"),
-            )
-            return 200, served.to_payload()
-
-        if path == ["v1", "analyze"]:
-            if method != "POST":
-                return 405, {"error": "use POST for /v1/analyze"}
-            try:
-                request = json.loads(body.decode() or "{}")
-            except json.JSONDecodeError as exc:
-                return 400, {"error": f"request body is not JSON: {exc}"}
-            if "system" not in request or "domain" not in request:
-                return 400, {"error": "body must name 'system' and 'domain'"}
-            served = await self.service.analyze(
-                request["system"],
-                request["domain"],
-                seed=int(request.get("seed", 2024)),
-                faults=request.get("faults"),
+        request = parse_analysis(method, target, body)
+        if request is not None:
+            system, domain, metric, seed, faults = request
+            if metric is not None:
+                served = await self.service.get_metric(
+                    system, domain, metric, seed=seed, faults=faults
+                )
+                return 200, served.to_payload()
+            analyzed = await self.service.analyze(
+                system, domain, seed=seed, faults=faults
             )
             return 200, {
                 "metrics": {
-                    name: metric.to_payload() for name, metric in served.items()
+                    name: answer.to_payload() for name, answer in analyzed.items()
                 }
             }
 
         if path[:2] == ["v1", "catalog"]:
             return self._route_catalog(path[2:], query)
 
-        return 404, {"error": f"no route for {method} {split.path}"}
+        return 404, {"error": f"no route for {method} {target.split('?')[0]}"}
 
     def _route_catalog(
         self, rest: list, query: Dict[str, str]

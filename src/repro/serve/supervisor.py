@@ -19,11 +19,18 @@ publication, torn-tail-tolerant logs) — behind one front listener:
   ``restart_window`` seconds is marked *failed* and left down — a
   crash-looping worker must not burn the machine.  Counter:
   ``serve.restarts`` / ``serve.worker_failed``.
-* **Re-dispatch of in-flight requests.**  The front proxies each
-  request to a live worker round-robin; a transport failure mid-request
-  (the worker died under it) re-dispatches the same request to the next
-  live worker — safe because every request is idempotent under the
-  service's coalescing identity.  Counter: ``serve.redispatch``.
+* **One routing rule.**  A keyed read whose stored entry carries full
+  freshness evidence is answered by the front itself (``shard.front_serves``).
+  Anything else goes to a live worker: a request with a coalescing
+  identity ``(system, domain, seed, faults)`` — a keyed read or an
+  analysis — sticks to the worker already running an identical one, so
+  the worker's coalescing sees them as one computation; the rest go
+  round-robin.
+* **Re-dispatch of in-flight requests.**  A transport failure
+  mid-request (the worker died under it) re-dispatches the same
+  request to the next live worker — safe because every request is
+  idempotent under the service's coalescing identity.  Counter:
+  ``serve.redispatch``.
 * **Graceful degradation.**  With zero live workers (all crashed or
   restarting), ``/v1/metric`` reads are answered from the supervisor's
   own read-only view of the catalog, stamped ``stale=True`` and gated
@@ -45,8 +52,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import http.client
-import json
 import logging
 import multiprocessing as mp
 import os
@@ -54,12 +59,20 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import get_tracer
-from repro.serve.catalog import FsckReport, MetricCatalogStore
-from repro.serve.http import format_response, read_http_request
-from repro.serve.service import ServiceError, TransportError
+from repro.serve.catalog import FsckReport
+from repro.serve.client import http_exchange
+from repro.serve.http import answer_connection, parse_analysis
+from repro.serve.service import (
+    ServedMetric,
+    ServiceError,
+    TransportError,
+    request_identity,
+)
+from repro.serve.shard import open_catalog
 
 __all__ = ["ServiceSupervisor", "SupervisorConfig", "SupervisorServer"]
 
@@ -93,11 +106,8 @@ class SupervisorConfig:
     stale_max_age: Optional[float] = None
     #: Consistent-hash shard count of the catalog root (0 = unsharded).
     #: With shards, every worker opens the same
-    #: :class:`~repro.serve.shard.ShardedCatalogStore` (any worker can
-    #: read and publish any key — ownership is *affinity*, not
-    #: capability) and the dispatcher routes each request to the worker
-    #: owning its key's shard, so identical requests concentrate on one
-    #: worker and coalesce instead of fanning out round-robin.
+    #: :class:`~repro.serve.shard.ShardedCatalogStore`: any worker can
+    #: read and publish any key, so routing ignores shard ownership.
     shards: int = 0
 
     def __post_init__(self) -> None:
@@ -111,13 +121,14 @@ class SupervisorConfig:
 
 def _worker_entry(
     slot: int,
-    config: Dict[str, Any],
+    config: SupervisorConfig,
     catalog_root: Optional[str],
     cache_dir: Optional[str],
     chaos_spec: Optional[str],
     heartbeat: Any,
     port_conn: Any,
     stop_event: Any,
+    exit_after: Optional[float],
 ) -> None:
     """Spawn target: one worker process = service + listener + heartbeat.
 
@@ -131,7 +142,6 @@ def _worker_entry(
     from repro.serve.http import HttpMetricServer
     from repro.serve.service import MetricService
 
-    exit_after = config.pop("_exit_after", None)
     if exit_after is not None:
         # Test seam: self-destruct to exercise restart and intensity-cap
         # paths deterministically.  A Timer thread survives a blocked loop.
@@ -143,30 +153,26 @@ def _worker_entry(
 
     store = None
     if catalog_root is not None:
-        failpoint = chaos.catalog_failpoint if chaos is not None else None
-        if config.get("shards", 0) > 0:
-            from repro.serve.shard import ShardedCatalogStore
-
-            store = ShardedCatalogStore(
-                catalog_root, n_shards=config["shards"], failpoint=failpoint
-            )
-        else:
-            store = MetricCatalogStore(catalog_root, failpoint=failpoint)
+        store = open_catalog(
+            catalog_root,
+            shards=config.shards,
+            failpoint=chaos.catalog_failpoint if chaos is not None else None,
+        )
 
     service = MetricService(
         store,
-        workers=config["service_workers"],
-        queue_limit=config["service_queue_limit"],
-        batch_size=config["service_batch_size"],
+        workers=config.service_workers,
+        queue_limit=config.service_queue_limit,
+        batch_size=config.service_batch_size,
         cache_dir=cache_dir,
-        retries=config["service_retries"],
-        task_timeout=config["service_task_timeout"],
-        stale_max_age=config["stale_max_age"],
+        retries=config.service_retries,
+        task_timeout=config.service_task_timeout,
+        stale_max_age=config.stale_max_age,
     )
     server = HttpMetricServer(
         service, port=0, chaos=chaos, chaos_scope=f"w{slot}"
     )
-    interval = config["heartbeat_interval"]
+    interval = config.heartbeat_interval
 
     async def main() -> None:
         port = await server.start()
@@ -239,16 +245,8 @@ class ServiceSupervisor:
         self._redispatches = 0
         self._stale_fallbacks = 0
         self._front_serves = 0
-        # (system, domain, seed) -> (arch, config digest), for the
-        # degraded-mode catalog read (see _request_identity).
-        self._identity_cache: Dict[Tuple[str, str, int], Tuple[str, str]] = {}
-        # (system, seed, domain) -> (events digest, dependency digests),
-        # for the front-replica read (see _fresh_answer).
-        self._evidence_cache: Dict[
-            Tuple[str, int, str], Tuple[str, Dict[str, str]]
-        ] = {}
         # Coalescing identity -> [slot index, in-flight count]: identical
-        # concurrent analyses stick to one worker (see dispatch).
+        # concurrent requests stick to one worker (see dispatch).
         self._sticky: Dict[Tuple, List[Any]] = {}
         self._chaos = None
         if chaos_spec:
@@ -260,17 +258,8 @@ class ServiceSupervisor:
         # here also publishes the topology manifest before any worker
         # spawns, so workers always open an agreed-upon ring.
         self._store = None
-        self._ring = None
         if catalog_root is not None:
-            if self.config.shards > 0:
-                from repro.serve.shard import ShardedCatalogStore
-
-                self._store = ShardedCatalogStore(
-                    catalog_root, n_shards=self.config.shards
-                )
-                self._ring = self._store.ring
-            else:
-                self._store = MetricCatalogStore(catalog_root)
+            self._store = open_catalog(catalog_root, shards=self.config.shards)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -316,30 +305,18 @@ class ServiceSupervisor:
         slot.heartbeat = self._mp.Value("d", time.time())
         slot.stop_event = self._mp.Event()
         recv, send = self._mp.Pipe(duplex=False)
-        config = {
-            "service_workers": self.config.service_workers,
-            "service_queue_limit": self.config.service_queue_limit,
-            "service_batch_size": self.config.service_batch_size,
-            "service_retries": self.config.service_retries,
-            "service_task_timeout": self.config.service_task_timeout,
-            "stale_max_age": self.config.stale_max_age,
-            "heartbeat_interval": self.config.heartbeat_interval,
-            "shards": self.config.shards,
-        }
-        seam = getattr(self, "_exit_after", None)
-        if seam is not None:
-            config["_exit_after"] = seam
         slot.process = self._mp.Process(
             target=_worker_entry,
             args=(
                 slot.index,
-                config,
+                self.config,
                 self.catalog_root,
                 self.cache_dir,
                 self.chaos_spec,
                 slot.heartbeat,
                 send,
                 slot.stop_event,
+                getattr(self, "_exit_after", None),
             ),
             daemon=True,
             name=f"repro-serve-w{slot.index}",
@@ -422,106 +399,21 @@ class ServiceSupervisor:
     def _live_slots(self) -> List[_WorkerSlot]:
         return [slot for slot in self.slots if slot.live]
 
-    def _forward(
-        self, port: int, method: str, target: str, body: bytes, timeout: float
-    ) -> Tuple[int, Dict[str, Any]]:
-        """Blocking single-attempt proxy hop to one worker."""
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+    def _keyed_read(
+        self, method: str, target: str
+    ) -> Optional[Tuple[str, str, str, int]]:
+        """``(system, domain, metric, seed)`` of an unfaulted keyed read
+        this front can look up in its catalog view, or None (the worker
+        owns producing the structured 400/404 for malformed requests)."""
+        if self._store is None:
+            return None
         try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            try:
-                conn.request(method, target, body=body or None, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except TimeoutError as exc:
-                raise TransportError(
-                    f"worker :{port} gave no response within {timeout}s", exc
-                ) from exc
-            except (OSError, http.client.HTTPException) as exc:
-                raise TransportError(
-                    f"{type(exc).__name__} talking to worker :{port}: {exc}", exc
-                ) from exc
-            try:
-                payload = json.loads(raw.decode() or "{}")
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise TransportError(
-                    f"torn response from worker :{port}", exc
-                ) from exc
-            return response.status, payload
-        finally:
-            conn.close()
-
-    def _slot_for_shard(self, shard: str) -> int:
-        """The worker slot owning a shard: shard i belongs to worker
-        ``i mod workers`` — every worker owns a fixed, disjoint shard
-        set, every shard has exactly one owner."""
-        assert self._ring is not None
-        return self._ring.shards.index(shard) % self.config.workers
-
-    @staticmethod
-    def _parse_metric_target(
-        method: str, target: str
-    ) -> Optional[Tuple[str, str, str, int, Optional[str]]]:
-        """``(system, domain, metric, seed, faults)`` of a keyed read,
-        or None when the request is not ``GET /v1/metric/...`` or is
-        malformed (the worker owns producing the structured 400/404)."""
-        if method != "GET":
+            request = parse_analysis(method, target, b"")
+        except (ServiceError, ValueError):
             return None
-        from urllib.parse import parse_qs, unquote, urlsplit
-
-        split = urlsplit(target)
-        path = [unquote(p) for p in split.path.split("/") if p]
-        if len(path) != 5 or path[:2] != ["v1", "metric"]:
+        if request is None or request[2] is None or request[4]:
             return None
-        _, _, system, domain, metric = path
-        query = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        try:
-            seed = int(query.get("seed", 2024))
-        except ValueError:
-            return None
-        return system, domain, metric, seed, query.get("faults") or None
-
-    def _preferred_slot(self, method: str, target: str) -> Optional[int]:
-        """Shard-affinity routing for keyed reads: the worker slot that
-        *owns* ``GET /v1/metric/...``'s catalog key via the ring — the
-        worker whose replica cache and coalescing window already hold
-        that key.  None when the topology is unsharded or the request
-        has no single key (health, listings, analyses).  Affinity is
-        advisory — any worker *can* serve any key over the shared store
-        — so a down owner falls back to round-robin instead of failing.
-        """
-        if self._ring is None:
-            return None
-        parsed = self._parse_metric_target(method, target)
-        if parsed is None:
-            return None
-        system, domain, metric, seed, _ = parsed
-        try:
-            arch, _ = self._request_identity(system, domain, seed)
-            return self._slot_for_shard(self._ring.lookup(arch, metric))
-        except Exception:  # noqa: BLE001 — affinity is advisory, never fatal
-            return None
-
-    def _node_evidence(
-        self, system: str, seed: int, domain: str
-    ) -> Tuple[str, Dict[str, str]]:
-        """(event-set digest, per-event dependency digests) for a keyed
-        read — the same freshness evidence the workers present to the
-        store, computed the same way, cached per (system, seed, domain).
-        """
-        key = (system, seed, domain)
-        evidence = self._evidence_cache.get(key)
-        if evidence is None:
-            from repro.core.sweep import SWEEP_SYSTEMS
-            from repro.incr.engine import domain_event_digests
-
-            node = SWEEP_SYSTEMS[system](seed=seed)
-            evidence = (
-                node.events.content_digest(),
-                domain_event_digests(node.events, domain),
-            )
-            self._evidence_cache[key] = evidence
-        return evidence
+        return request[:4]
 
     def _fresh_answer(self, method: str, target: str) -> Optional[Dict[str, Any]]:
         """Front-replica read: answer ``GET /v1/metric/...`` from the
@@ -531,18 +423,13 @@ class ServiceSupervisor:
         key skips the internal hop entirely.  Returns None on any miss
         or doubt (the request is then forwarded to the pool as usual);
         never serves stale or faulted requests."""
-        if self._store is None:
-            return None
-        parsed = self._parse_metric_target(method, target)
+        parsed = self._keyed_read(method, target)
         if parsed is None:
             return None
-        system, domain, metric, seed, faults = parsed
-        if faults:
-            return None
+        system, domain, metric, seed = parsed
         try:
-            arch, config_digest = self._request_identity(system, domain, seed)
-            events_digest, dependencies = self._node_evidence(
-                system, seed, domain
+            arch, config_digest, events_digest, dependencies = request_identity(
+                system, domain, seed
             )
             entry = self._store.latest(
                 arch,
@@ -558,43 +445,34 @@ class ServiceSupervisor:
         with self._lock:
             self._front_serves += 1
         get_tracer().incr("shard.front_serves")
-        payload = entry.to_payload()
-        payload["source"] = "catalog"
-        payload["stale"] = False
-        return payload
+        return ServedMetric(entry=entry, source="catalog").to_payload()
 
     @staticmethod
     def _coalescing_identity(
         method: str, target: str, body: bytes
     ) -> Optional[Tuple]:
-        """The sticky-dispatch key of ``POST /v1/analyze``: requests
-        with equal identities share one worker *while one is in
-        flight*, so the worker's request coalescing sees them as one
-        computation.  Distinct identities carry no affinity (they
-        round-robin for balance — an analysis spans every metric of a
-        domain, so no single shard owns it)."""
-        if method != "POST" or target.split("?", 1)[0] != "/v1/analyze":
-            return None
+        """The sticky-dispatch key ``(system, domain, seed, faults)`` of
+        a keyed read or an analysis: requests with equal identities
+        share one worker *while one is in flight*, so the worker's
+        request coalescing sees them as one computation.  Distinct
+        identities carry no affinity (they round-robin for balance)."""
         try:
-            request = json.loads(body.decode() or "{}")
-            return (
-                request["system"],
-                request["domain"],
-                int(request.get("seed", 2024)),
-                request.get("faults"),
-            )
+            request = parse_analysis(method, target, body)
         except Exception:  # noqa: BLE001 — malformed: no affinity
             return None
+        if request is None:
+            return None
+        system, domain, _, seed, faults = request
+        return system, domain, seed, faults or None
 
     async def dispatch(
         self, method: str, target: str, body: bytes, *, timeout: float = 60.0
     ) -> Tuple[int, Dict[str, Any]]:
         """Proxy one request: fully-fresh keyed reads answered straight
-        from the dispatcher's replica-fronted catalog view, then
-        affinity (the shard owner for keyed reads, the in-flight twin's
-        worker for analyses), round-robin over live workers otherwise,
-        re-dispatch on transport failure, degrade to a stale catalog
-        read when no worker is live."""
+        from the dispatcher's replica-fronted catalog view, then the
+        worker already running an identical request, round-robin over
+        live workers otherwise, re-dispatch on transport failure,
+        degrade to a stale catalog read when no worker is live."""
         loop = asyncio.get_running_loop()
         last_error: Optional[TransportError] = None
         if method == "GET":
@@ -606,14 +484,8 @@ class ServiceSupervisor:
             )
             if fresh is not None:
                 return 200, fresh
-        preferred = self._preferred_slot(method, target)
         sticky = self._coalescing_identity(method, target, body)
-        registered = False
-        if sticky is not None:
-            with self._lock:
-                held = self._sticky.get(sticky)
-                if held is not None:
-                    preferred = held[0]
+        held: Optional[List[Any]] = None  # [slot index, in-flight count]
         try:
             for attempt in range(self.config.dispatch_attempts):
                 with self._lock:
@@ -625,26 +497,15 @@ class ServiceSupervisor:
                     live = self._live_slots()
                 if not live:
                     break
-                slot = None
-                if preferred is not None and attempt == 0:
-                    slot = next((s for s in live if s.index == preferred), None)
-                    if slot is not None:
-                        get_tracer().incr("shard.affinity_hits")
-                if slot is None:
-                    if preferred is not None:
-                        get_tracer().incr("shard.affinity_fallbacks")
-                    slot = live[n % len(live)]
-                if sticky is not None and not registered:
-                    # Publish where this analysis runs so identical
-                    # concurrent requests ride the same worker (and its
-                    # coalescing window) instead of recomputing elsewhere.
-                    registered = True
+                slot = live[n % len(live)]
+                if sticky is not None and attempt == 0:
+                    # Ride the worker an identical in-flight request runs
+                    # on (and its coalescing window), or publish this one
+                    # as the place identical requests should go.
                     with self._lock:
-                        held = self._sticky.get(sticky)
-                        if held is None:
-                            self._sticky[sticky] = [slot.index, 1]
-                        else:
-                            held[1] += 1
+                        held = self._sticky.setdefault(sticky, [slot.index, 0])
+                        held[1] += 1
+                    slot = next((s for s in live if s.index == held[0]), slot)
                 if self._chaos is not None and self._chaos.fires(
                     "worker-kill", f"dispatch:{n}"
                 ):
@@ -656,7 +517,14 @@ class ServiceSupervisor:
                         threading.Timer(0.05, process.kill).start()
                 try:
                     return await loop.run_in_executor(
-                        None, self._forward, slot.port, method, target, body, timeout
+                        None,
+                        http_exchange,
+                        "127.0.0.1",
+                        slot.port,
+                        method,
+                        target,
+                        body,
+                        timeout,
                     )
                 except TransportError as exc:
                     last_error = exc
@@ -665,13 +533,11 @@ class ServiceSupervisor:
                     get_tracer().incr("serve.redispatch")
                     continue
         finally:
-            if registered:
+            if held is not None:
                 with self._lock:
-                    held = self._sticky.get(sticky)
-                    if held is not None:
-                        held[1] -= 1
-                        if held[1] <= 0:
-                            del self._sticky[sticky]
+                    held[1] -= 1
+                    if held[1] <= 0:
+                        del self._sticky[sticky]
         stale = await loop.run_in_executor(None, self._stale_answer, method, target)
         if stale is not None:
             return 200, stale
@@ -684,28 +550,6 @@ class ServiceSupervisor:
             payload["last_error"] = last_error.payload
         return 503, payload
 
-    def _request_identity(
-        self, system: str, domain: str, seed: int
-    ) -> Tuple[str, str]:
-        """(arch, config digest) for a request, computed exactly as the
-        workers compute it — the degraded path must read the same
-        catalog key the pool publishes under, never a neighbouring one.
-        Deterministic, so cached per (system, domain, seed)."""
-        key = (system, domain, seed)
-        identity = self._identity_cache.get(key)
-        if identity is None:
-            from dataclasses import replace
-
-            from repro.core.pipeline import DOMAIN_CONFIGS
-            from repro.core.sweep import SWEEP_SYSTEMS
-            from repro.serve.catalog import analysis_config_digest
-
-            node = SWEEP_SYSTEMS[system](seed=seed)
-            config = replace(DOMAIN_CONFIGS[domain], use_measurement_cache=True)
-            identity = (node.name, analysis_config_digest(domain, seed, config))
-            self._identity_cache[key] = identity
-        return identity
-
     def _stale_answer(self, method: str, target: str) -> Optional[Dict[str, Any]]:
         """Degraded mode: answer ``GET /v1/metric/...`` from the
         supervisor's own catalog view, stamped stale, inside the
@@ -714,16 +558,14 @@ class ServiceSupervisor:
         one.  Faulted requests get None (an unfaulted catalog entry
         would be a wrong answer for a diagnostics run).  Returns None
         when not applicable."""
-        if self._store is None or self.config.stale_max_age is None:
+        if self.config.stale_max_age is None:
             return None
-        parsed = self._parse_metric_target(method, target)
+        parsed = self._keyed_read(method, target)
         if parsed is None:
             return None
-        system, domain, metric, seed, faults = parsed
-        if faults:
-            return None
+        system, domain, metric, seed = parsed
         try:
-            arch, config_digest = self._request_identity(system, domain, seed)
+            arch, config_digest, _, _ = request_identity(system, domain, seed)
         except KeyError:
             return None
         found = self._store.stale_latest(
@@ -735,10 +577,9 @@ class ServiceSupervisor:
         with self._lock:
             self._stale_fallbacks += 1
         get_tracer().incr("serve.stale_served")
-        payload = entry.to_payload()
-        payload["source"] = "catalog"
-        payload["stale"] = True
-        payload["stale_age_seconds"] = age
+        payload = ServedMetric(
+            entry=entry, source="catalog", stale=True, stale_age=age
+        ).to_payload()
         payload["degraded"] = "no live workers"
         return payload
 
@@ -789,8 +630,8 @@ class SupervisorServer:
     """The front listener: one asyncio server proxying to the pool.
 
     Speaks the same HTTP/1.0 JSON wire format as
-    :class:`~repro.serve.http.HttpMetricServer` (it reuses its request
-    reader and response formatter), adds ``GET /supervisor/status``, and
+    :class:`~repro.serve.http.HttpMetricServer` (it answers connections
+    through the same handler), adds ``GET /supervisor/status``, and
     forwards everything else through :meth:`ServiceSupervisor.dispatch`.
     """
 
@@ -814,7 +655,9 @@ class SupervisorServer:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.start)
         self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
+            partial(answer_connection, route=self._route),
+            host=self.host,
+            port=self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -827,32 +670,11 @@ class SupervisorServer:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.stop)
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            raw = await read_http_request(reader)
-            if raw is None:
-                return
-            method, target, body = raw
-            if target.split("?")[0] == "/supervisor/status":
-                status, payload = 200, self.supervisor.status()
-            else:
-                status, payload = await self.supervisor.dispatch(
-                    method, target, body, timeout=self.proxy_timeout
-                )
-        except ServiceError as exc:
-            status, payload = exc.status, exc.payload
-        except Exception as exc:  # noqa: BLE001 — the front must never die
-            logger.exception("unhandled error in the supervisor front")
-            status, payload = 500, {
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            }
-        try:
-            writer.write(format_response(status, payload))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
+    async def _route(
+        self, method: str, target: str, body: bytes
+    ) -> Tuple[int, Dict[str, Any]]:
+        if target.split("?")[0] == "/supervisor/status":
+            return 200, self.supervisor.status()
+        return await self.supervisor.dispatch(
+            method, target, body, timeout=self.proxy_timeout
+        )

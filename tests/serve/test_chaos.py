@@ -30,9 +30,10 @@ class TestDefinitionDigest:
         assert definition_digest(a) != definition_digest(b)
 
 
-def _drill_config(workers=2):
+def _drill_config(workers=2, shards=0):
     return SupervisorConfig(
         workers=workers,
+        shards=shards,
         heartbeat_timeout=1.5,
         backoff_base=0.1,
         backoff_max=0.5,
@@ -59,6 +60,22 @@ class TestChaosDrill:
         assert report.typed_errors == 0
         assert report.identical > 0
         assert report.fsck is not None and report.fsck.clean
+
+    def test_zero_fault_sharded_drill_checks_the_shards(self, tmp_path):
+        """On a sharded root the post-mortem fsck and per-entry sweep
+        read the shard directories, not the empty top level."""
+        report = run_chaos_drill(
+            str(tmp_path / "catalog"),
+            chaos_spec="seed=1",
+            cache_dir=str(tmp_path / "cache"),
+            requests=2,
+            config=_drill_config(shards=2),
+            recovery_budget=20.0,
+        )
+        assert report.ok, report.violations
+        assert report.identical > 0
+        assert report.fsck is not None and report.fsck.clean
+        assert report.fsck.scanned > 0
 
     def test_faulted_drill_upholds_invariant(self, tmp_path):
         """Under worker kills, hangs, torn publications, socket drops,

@@ -7,6 +7,7 @@ asyncio) and one sharded multi-process tier (real spawn workers, the
 slow path), both judged against the invariant.
 """
 
+import asyncio
 import subprocess
 import sys
 import time
@@ -14,7 +15,16 @@ import time
 import pytest
 
 from repro import obs
-from repro.serve import LoadStep, Workload, latency_percentile, run_load_drill
+from repro.serve import (
+    CatalogClient,
+    LoadStep,
+    ServiceSupervisor,
+    SupervisorConfig,
+    SupervisorServer,
+    Workload,
+    latency_percentile,
+    run_load_drill,
+)
 from repro.serve.chaos import definition_digest
 from repro.serve.load import LoadStepReport, RequestSpec, _classify
 from repro.serve.service import ServiceBusy, ServiceError, TransportError
@@ -223,9 +233,6 @@ class TestShardedTierDrill:
             )
             assert report.ok, report.violations
             assert report.requests == 12
-            # Shard-affinity routing actually routed: every request has
-            # a catalog key, so every dispatch had a preferred worker.
-            assert tracer.counters["shard.affinity_hits"] >= 1
         status = report.supervisor_status
         assert status is not None and status["live"] == 2
         # Hot keyed reads were answered by the dispatcher's replica-
@@ -239,6 +246,44 @@ class TestShardedTierDrill:
             p for p in (tmp_path / "catalog").iterdir() if p.is_dir()
         ]
         assert len(shard_dirs) == 2
+
+
+    def test_cold_reads_of_one_analysis_run_it_once(self, tmp_path):
+        """Two concurrent cold keyed reads of different metrics of one
+        analysis (their catalog keys live on different shards) ride the
+        same worker and coalesce: the pool runs the pipeline once."""
+        supervisor = ServiceSupervisor(
+            str(tmp_path / "catalog"),
+            cache_dir=str(tmp_path / "cache"),
+            config=SupervisorConfig(workers=2, shards=2),
+        )
+        front = SupervisorServer(supervisor)
+        metrics = ("Unconditional Branches.", "Mispredicted Branches.")
+
+        async def body():
+            port = await front.start()
+            try:
+                loop = asyncio.get_running_loop()
+                client = CatalogClient(port=port, timeout=120)
+                answers = await asyncio.gather(
+                    *(
+                        loop.run_in_executor(
+                            None, client.metric, "aurora", "branch", name
+                        )
+                        for name in metrics
+                    )
+                )
+                runs = sum(
+                    CatalogClient(port=w["port"]).health()["stats"]["pipeline_runs"]
+                    for w in supervisor.status()["workers"]
+                )
+                return answers, runs
+            finally:
+                await front.stop()
+
+        answers, runs = asyncio.run(body())
+        assert [answer["metric"] for answer in answers] == list(metrics)
+        assert runs == 1
 
 
 class TestServeEphemeralPort:

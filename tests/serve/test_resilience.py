@@ -1,8 +1,9 @@
-"""Unit tests for the resilient client: retry, breaker, deadline, hedging.
+"""Unit tests for the client's resilience options: retry, breaker,
+deadline, hedging.
 
-Everything socket-free: the transport seam injects scripted fake
-clients, and clock/sleep are simulated so backoff and deadline behaviour
-is exact and instant.
+Everything socket-free: the transport seam injects scripted responses,
+and clock/sleep are simulated so backoff and deadline behaviour is
+exact and instant.
 """
 
 import threading
@@ -11,11 +12,12 @@ import time
 import pytest
 
 from repro import obs
-from repro.serve.resilience import (
+from repro.serve import client as client_module
+from repro.serve.client import (
     BreakerOpen,
+    CatalogClient,
     CircuitBreaker,
     DeadlineExceeded,
-    ResilientCatalogClient,
     RetryPolicy,
     idempotency_key,
 )
@@ -33,55 +35,35 @@ class FakeClock:
         self.now += seconds
 
 
-class ScriptedClient:
-    """One fake CatalogClient: pops the next behaviour per call."""
-
-    def __init__(self, script, clock=None):
-        self.script = script
-        self.clock = clock
-
-    def _next(self):
-        action = self.script.pop(0) if self.script else "ok"
-        if isinstance(action, Exception):
-            if self.clock is not None:
-                self.clock.sleep(0.01)
-            raise action
+def _scripted(script, clock):
+    """Pop the next scripted behaviour: an exception is raised (after a
+    simulated 10 ms), a ``(status, payload)`` pair is returned as is, a
+    dict is a 200 payload, anything else a 200 ``{"ok": value}``."""
+    action = script.pop(0) if script else "ok"
+    if isinstance(action, Exception):
+        clock.sleep(0.01)
+        raise action
+    if isinstance(action, tuple):
         return action
-
-    def metric(self, *args, **kwargs):
-        value = self._next()
-        return value if isinstance(value, dict) else {"metric": "m", "ok": value}
-
-    def analyze(self, *args, **kwargs):
-        value = self._next()
-        return value if isinstance(value, dict) else {"m": {"ok": value}}
-
-    def health(self):
-        return {"ok": self._next()}
-
-    def ready(self):
-        return self._next() == "ok"
-
-    def catalog_list(self, arch=None):
-        self._next()
-        return []
-
-    def catalog_entry(self, *args, **kwargs):
-        return {"ok": self._next()}
+    if isinstance(action, dict):
+        return 200, action
+    return 200, {"metric": "m", "ok": action}
 
 
 def _client(scripts, clock=None, **kwargs):
-    """Build a ResilientCatalogClient over scripted per-port transports."""
+    """Build a CatalogClient over scripted per-port transports."""
     clock = clock or FakeClock()
-    endpoints = [("127.0.0.1", port) for port in sorted(scripts)]
+    (host, primary), *replicas = [("127.0.0.1", port) for port in sorted(scripts)]
     calls = []
 
-    def transport(host, port, timeout):
+    def transport(host, port, method, path, body, timeout):
         calls.append((port, timeout))
-        return ScriptedClient(scripts[port], clock=clock)
+        return _scripted(scripts[port], clock)
 
-    client = ResilientCatalogClient(
-        endpoints,
+    client = CatalogClient(
+        host,
+        primary,
+        replicas=replicas,
         clock=clock.time,
         sleep=clock.sleep,
         transport=transport,
@@ -92,6 +74,15 @@ def _client(scripts, clock=None, **kwargs):
 
 def _transport_error():
     return TransportError("connection refused", ConnectionRefusedError())
+
+
+def _by_port(**answers):
+    """A transport answering each port with its own function."""
+
+    def transport(host, port, method, path, body, timeout):
+        return answers[f"p{port}"]()
+
+    return transport
 
 
 class TestRetryPolicy:
@@ -169,11 +160,27 @@ class TestCircuitBreaker:
 
 
 class TestResilientCall:
+    def test_default_is_one_attempt_without_digest_or_pool(self, monkeypatch):
+        """A plain ``CatalogClient(port=...)`` makes exactly one attempt
+        and raises what the transport raised — no backoff sleep, no
+        idempotency digest, no thread pool on the way."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("one-attempt path must not call this")
+
+        monkeypatch.setattr(client_module, "idempotency_key", forbidden)
+        monkeypatch.setattr(client_module, "ThreadPoolExecutor", forbidden)
+        client, calls, clock = _client({9001: [_transport_error(), {"metric": "m"}]})
+        with pytest.raises(TransportError):
+            client.metric("aurora", "branch", "m")
+        assert len(calls) == 1
+        assert clock.now == pytest.approx(0.01)  # the attempt itself, no sleep
+        assert client.metric("aurora", "branch", "m") == {"metric": "m"}
+
     def test_retries_transport_errors_until_success(self):
         client, calls, _ = _client(
             {9001: [_transport_error(), _transport_error(), {"metric": "m"}]},
             retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
-            breaker_factory=None,
         )
         payload = client.metric("aurora", "branch", "m")
         assert payload == {"metric": "m"}
@@ -181,8 +188,8 @@ class TestResilientCall:
 
     def test_non_retryable_errors_raise_immediately(self):
         client, calls, _ = _client(
-            {9001: [ServiceError(404, {"error": "no such metric"})]},
-            breaker_factory=None,
+            {9001: [(404, {"error": "no such metric"})]},
+            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
         )
         with pytest.raises(ServiceError) as err:
             client.metric("aurora", "branch", "m")
@@ -193,7 +200,6 @@ class TestResilientCall:
         client, calls, _ = _client(
             {9001: [_transport_error()], 9002: [{"metric": "m"}]},
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
-            breaker_factory=None,
         )
         assert client.metric("aurora", "branch", "m") == {"metric": "m"}
         assert [port for port, _ in calls] == [9001, 9002]
@@ -202,7 +208,6 @@ class TestResilientCall:
         client, _, _ = _client(
             {9001: [_transport_error()] * 5},
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
-            breaker_factory=None,
         )
         with pytest.raises(TransportError):
             client.metric("aurora", "branch", "m")
@@ -214,7 +219,6 @@ class TestResilientCall:
             clock=clock,
             retry=RetryPolicy(max_attempts=100, backoff_base=0.5, backoff_cap=0.5),
             deadline=1.0,
-            breaker_factory=None,
         )
         with pytest.raises(DeadlineExceeded) as err:
             client.metric("aurora", "branch", "m")
@@ -228,7 +232,6 @@ class TestResilientCall:
             clock=clock,
             timeout=30.0,
             deadline=2.0,
-            breaker_factory=None,
         )
         client.metric("aurora", "branch", "m")
         assert calls[0][1] <= 2.0
@@ -251,7 +254,7 @@ class TestResilientCall:
 
     def test_application_errors_do_not_trip_breaker(self):
         client, _, _ = _client(
-            {9001: [ServiceError(404, {"error": "nope"})] * 3},
+            {9001: [(404, {"error": "nope"})] * 3},
             breaker_factory=lambda: CircuitBreaker(failure_threshold=1),
         )
         for _ in range(3):
@@ -261,13 +264,12 @@ class TestResilientCall:
 
     def test_unexpected_exception_does_not_brick_half_open_breaker(self):
         """A non-ServiceError raised during the half-open probe (a bug
-        in the transport factory, say) must still settle the breaker —
-        a leaked probe would leave allow() False forever."""
+        in the transport, say) must still settle the breaker — a leaked
+        probe would leave allow() False forever."""
         clock = FakeClock()
         client, _, clock = _client(
-            {9001: [_transport_error(), RuntimeError("factory bug"), "ok"]},
+            {9001: [_transport_error(), RuntimeError("transport bug"), "ok"]},
             clock=clock,
-            retry=RetryPolicy(max_attempts=1),
             breaker_factory=lambda: CircuitBreaker(
                 failure_threshold=1, reset_after=5.0, clock=clock.time
             ),
@@ -289,9 +291,7 @@ class TestResilientCall:
 
     def test_accept_stale_false_rejects_stale_payloads(self):
         stale = {"metric": "m", "stale": True, "stale_age_seconds": 5.0}
-        client, _, _ = _client(
-            {9001: [stale]}, accept_stale=False, breaker_factory=None
-        )
+        client, _, _ = _client({9001: [stale]}, accept_stale=False)
         with pytest.raises(ServiceError) as err:
             client.metric("aurora", "branch", "m")
         assert err.value.status == 503
@@ -299,31 +299,38 @@ class TestResilientCall:
 
     def test_accept_stale_true_passes_stale_through(self):
         stale = {"metric": "m", "stale": True}
-        client, _, _ = _client({9001: [stale]}, breaker_factory=None)
+        client, _, _ = _client({9001: [stale]})
         assert client.metric("aurora", "branch", "m") == stale
+
+    def test_status_codes_map_to_typed_errors(self):
+        client, _, _ = _client(
+            {9001: [(429, {"queue_limit": 8}), (500, {"error": "boom"})]}
+        )
+        with pytest.raises(ServiceError) as busy:
+            client.analyze("aurora", "branch")
+        assert busy.value.status == 429 and busy.value.retryable
+        with pytest.raises(ServiceError) as failed:
+            client.analyze("aurora", "branch")
+        assert failed.value.status == 500 and not failed.value.retryable
 
 
 class TestHedging:
     def test_hedge_fires_after_delay_and_first_success_wins(self):
         release = threading.Event()
 
-        class SlowPrimary:
-            def metric(self, *a, **k):
-                release.wait(timeout=5.0)
-                return {"metric": "m", "from": "primary"}
+        def slow_primary():
+            release.wait(timeout=5.0)
+            return 200, {"metric": "m", "from": "primary"}
 
-        class FastReplica:
-            def metric(self, *a, **k):
-                return {"metric": "m", "from": "replica"}
-
-        def transport(host, port, timeout):
-            return SlowPrimary() if port == 9001 else FastReplica()
-
-        client = ResilientCatalogClient(
-            [("127.0.0.1", 9001), ("127.0.0.1", 9002)],
-            transport=transport,
+        client = CatalogClient(
+            "127.0.0.1",
+            9001,
+            replicas=[("127.0.0.1", 9002)],
+            transport=_by_port(
+                p9001=slow_primary,
+                p9002=lambda: (200, {"metric": "m", "from": "replica"}),
+            ),
             hedge_delay=0.05,
-            breaker_factory=None,
         )
         with obs.tracing(seed=0) as trace:
             payload = client.metric("aurora", "branch", "m")
@@ -334,19 +341,16 @@ class TestHedging:
     def test_fast_primary_skips_the_hedge(self):
         ports = []
 
-        class Fast:
-            def __init__(self, port):
-                self.port = port
+        def transport(host, port, method, path, body, timeout):
+            ports.append(port)
+            return 200, {"metric": "m"}
 
-            def metric(self, *a, **k):
-                ports.append(self.port)
-                return {"metric": "m"}
-
-        client = ResilientCatalogClient(
-            [("127.0.0.1", 9001), ("127.0.0.1", 9002)],
-            transport=lambda h, p, t: Fast(p),
+        client = CatalogClient(
+            "127.0.0.1",
+            9001,
+            replicas=[("127.0.0.1", 9002)],
+            transport=transport,
             hedge_delay=0.5,
-            breaker_factory=None,
         )
         client.metric("aurora", "branch", "m")
         assert ports == [9001]
@@ -358,24 +362,20 @@ class TestHedging:
         release = threading.Event()
         loser_finished = threading.Event()
 
-        class HungPrimary:
-            def metric(self, *a, **k):
-                release.wait(timeout=30.0)
-                loser_finished.set()
-                return {"metric": "m", "from": "primary"}
+        def hung_primary():
+            release.wait(timeout=30.0)
+            loser_finished.set()
+            return 200, {"metric": "m", "from": "primary"}
 
-        class FastReplica:
-            def metric(self, *a, **k):
-                return {"metric": "m", "from": "replica"}
-
-        def transport(host, port, timeout):
-            return HungPrimary() if port == 9001 else FastReplica()
-
-        client = ResilientCatalogClient(
-            [("127.0.0.1", 9001), ("127.0.0.1", 9002)],
-            transport=transport,
+        client = CatalogClient(
+            "127.0.0.1",
+            9001,
+            replicas=[("127.0.0.1", 9002)],
+            transport=_by_port(
+                p9001=hung_primary,
+                p9002=lambda: (200, {"metric": "m", "from": "replica"}),
+            ),
             hedge_delay=0.05,
-            breaker_factory=None,
         )
         start = time.monotonic()
         payload = client.metric("aurora", "branch", "m")
@@ -386,16 +386,16 @@ class TestHedging:
         assert elapsed < 5.0
 
     def test_hedged_total_failure_raises_first_error(self):
-        class Broken:
-            def metric(self, *a, **k):
-                raise TransportError("down", None)
+        def broken(host, port, method, path, body, timeout):
+            raise TransportError("down", None)
 
-        client = ResilientCatalogClient(
-            [("127.0.0.1", 9001), ("127.0.0.1", 9002)],
-            transport=lambda h, p, t: Broken(),
+        client = CatalogClient(
+            "127.0.0.1",
+            9001,
+            replicas=[("127.0.0.1", 9002)],
+            transport=broken,
             retry=RetryPolicy(max_attempts=1),
             hedge_delay=0.01,
-            breaker_factory=None,
         )
         with pytest.raises(TransportError):
             client.metric("aurora", "branch", "m")

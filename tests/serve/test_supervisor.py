@@ -7,6 +7,7 @@ the process-spawn count down.
 
 import asyncio
 import time
+from unittest import mock
 
 import pytest
 
@@ -14,14 +15,16 @@ from repro.core.pipeline import AnalysisPipeline
 from repro.hardware import aurora_node
 from repro.io.cache import event_set_digest
 from repro.serve import (
+    CatalogClient,
     MetricCatalogStore,
-    ResilientCatalogClient,
     RetryPolicy,
     ServiceSupervisor,
     SupervisorConfig,
     SupervisorServer,
 )
+from repro.serve import supervisor as supervisor_module
 from repro.serve.catalog import entries_from_result
+from repro.serve.service import request_identity
 
 METRIC = "Mispredicted Branches."
 
@@ -65,10 +68,8 @@ class TestSupervisedServing:
 
         async def body():
             port = await front.start()
-            client = ResilientCatalogClient(
-                [("127.0.0.1", port)],
-                retry=RetryPolicy(max_attempts=6, backoff_base=0.05),
-                breaker_factory=None,
+            client = CatalogClient(
+                port=port, retry=RetryPolicy(max_attempts=6, backoff_base=0.05)
             )
             loop = asyncio.get_running_loop()
 
@@ -76,9 +77,7 @@ class TestSupervisedServing:
                 return client.metric("aurora", "branch", METRIC)
 
             def status():
-                return client._call(
-                    lambda c: c._request("GET", "/supervisor/status"), "status"
-                )
+                return client._request("GET", "/supervisor/status")
 
             # 1. Healthy pool serves and publishes to the shared catalog.
             first = await loop.run_in_executor(None, metric)
@@ -116,11 +115,12 @@ class TestSupervisedServing:
             # refuses (evidence mismatch), no worker is live to
             # recompute, so the answer degrades to an *explicitly*
             # stale catalog read rather than an error or a lie.
-            supervisor._evidence_cache[("aurora", 2024, "branch")] = (
-                "0" * 16,
-                {"drifted-event": "0" * 16},
-            )
-            fourth = await loop.run_in_executor(None, metric)
+            def drifted(system, domain, seed):
+                arch, config_digest, _, _ = request_identity(system, domain, seed)
+                return arch, config_digest, "0" * 16, {"drifted-event": "0" * 16}
+
+            with mock.patch.object(supervisor_module, "request_identity", drifted):
+                fourth = await loop.run_in_executor(None, metric)
             assert fourth["stale"] is True
             assert fourth["source"] == "catalog"
             assert fourth["stale_age_seconds"] >= 0.0
