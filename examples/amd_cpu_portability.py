@@ -17,12 +17,7 @@ from Intel's in kind, not just in name:
   from an access counter.
 
 Run:  python examples/amd_cpu_portability.py
-
-Set ``REPRO_EXAMPLE_FAST=1`` to skip the slow data-cache section (used
-by the examples smoke test in CI).
 """
-
-import os
 
 import numpy as np
 
@@ -68,9 +63,6 @@ def main() -> None:
     print(f"\n  All FP Ops.  error {total.error:.2e}")
     print(f"  {dict_terms(total)}")
 
-    if os.environ.get("REPRO_EXAMPLE_FAST"):
-        print("\n(REPRO_EXAMPLE_FAST set: skipping the data-cache section)")
-        return
     amd_cache = AnalysisPipeline.for_domain("dcache", frontier_cpu_node()).run()
     print("\nL1 Hits on Zen 3 (no L1-hit event exists; derived by subtraction):")
     print(" ", dict_terms(amd_cache.rounded_metrics["L1 Hits."]))

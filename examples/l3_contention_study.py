@@ -14,12 +14,7 @@ This is the consumer-side payoff of the paper: once the event-to-metric
 mapping is derived, capacity studies are three lines of instrumentation.
 
 Run:  python examples/l3_contention_study.py
-
-Set ``REPRO_EXAMPLE_FAST=1`` for a shrunk measurement (one stride, used
-by the examples smoke test in CI); the contention story is unchanged.
 """
-
-import os
 
 from repro.core import AnalysisPipeline
 from repro.hardware import PointerChase, aurora_node
@@ -27,8 +22,7 @@ from repro.hardware import PointerChase, aurora_node
 
 def main() -> None:
     node = aurora_node(seed=2024)
-    kwargs = {"strides": (64,)} if os.environ.get("REPRO_EXAMPLE_FAST") else {}
-    result = AnalysisPipeline.for_domain("dcache", node, **kwargs).run()
+    result = AnalysisPipeline.for_domain("dcache", node).run()
     l3_hits = result.rounded_metrics["L3 Hits."]
     l2_misses = result.rounded_metrics["L2 Misses."]
     needed = sorted(set(l3_hits.terms()) | set(l2_misses.terms()))

@@ -159,6 +159,26 @@ class HierarchyCounts:
         raise KeyError(f"no cache level named {name!r}")
 
 
+def _require_distinct(addrs: np.ndarray) -> None:
+    """Reject a pass that touches some line twice.
+
+    A strictly increasing trace (every pointer-chase buffer) is distinct
+    by construction, which an O(n) comparison proves; any other order falls
+    back to ``np.unique``.
+    """
+    if addrs.size > 1 and not np.all(addrs[1:] > addrs[:-1]):
+        if np.unique(addrs).size != addrs.size:
+            raise ValueError("cyclic_steady_state expects distinct lines per pass")
+
+
+def _level_steady_state(addrs: np.ndarray, config: CacheConfig) -> Tuple[int, np.ndarray]:
+    """(hits, miss mask) of one level, both from a single per-set count."""
+    sets = config.set_index(addrs)
+    per_set = np.bincount(sets, minlength=config.n_sets)
+    overfull = per_set > config.ways
+    return int(per_set[~overfull].sum()), overfull[sets]
+
+
 def cyclic_steady_state(line_addrs: np.ndarray, config: CacheConfig) -> Tuple[int, int]:
     """Steady-state (hits, misses) per pass of a cyclic trace.
 
@@ -172,14 +192,9 @@ def cyclic_steady_state(line_addrs: np.ndarray, config: CacheConfig) -> Tuple[in
     addrs = np.asarray(line_addrs, dtype=np.int64)
     if addrs.size == 0:
         return 0, 0
-    if np.unique(addrs).size != addrs.size:
-        raise ValueError("cyclic_steady_state expects distinct lines per pass")
-    sets = config.set_index(addrs)
-    per_set = np.bincount(sets, minlength=config.n_sets)
-    fits = per_set <= config.ways
-    hits = int(per_set[fits].sum())
-    misses = int(per_set[~fits].sum())
-    return hits, misses
+    _require_distinct(addrs)
+    hits, _ = _level_steady_state(addrs, config)
+    return hits, int(addrs.size) - hits
 
 
 class CacheHierarchy:
@@ -222,20 +237,20 @@ class CacheHierarchy:
         return HierarchyCounts(levels=tuple(counts), memory_accesses=int(trace.size))
 
     def cyclic_steady_state(self, line_addrs: np.ndarray) -> HierarchyCounts:
-        """Closed-form steady-state counts per pass of a cyclic walk."""
+        """Closed-form steady-state counts per pass of a cyclic walk.
+
+        Distinctness is checked once, on entry: each level's arriving
+        stream is a subset of the walk, so it is distinct too.
+        """
         remaining = np.asarray(line_addrs, dtype=np.int64)
+        _require_distinct(remaining)
         counts: List[LevelCounts] = []
         for config in self.configs:
             accesses = int(remaining.size)
+            hits = 0
             if accesses:
-                hits, _ = cyclic_steady_state(remaining, config)
-                sets = config.set_index(remaining)
-                per_set = np.bincount(sets, minlength=config.n_sets)
-                overfull = per_set > config.ways
-                remaining = remaining[overfull[sets]]
-            else:
-                hits = 0
-                remaining = remaining[:0]
+                hits, missed = _level_steady_state(remaining, config)
+                remaining = remaining[missed]
             counts.append(LevelCounts(config.name, accesses=accesses, hits=hits))
         return HierarchyCounts(
             levels=tuple(counts),

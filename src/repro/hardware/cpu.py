@@ -11,7 +11,12 @@ Two workload shapes cover all of CAT:
 * :meth:`SimulatedCPU.run_pointer_chase` — the data-cache benchmark.
   Demand traffic comes from the cache hierarchy's cyclic steady state
   (:mod:`repro.hardware.cache`), with private L1/L2 per thread and a
-  shared L3 in which all threads' surviving lines contend.
+  shared L3 in which all threads' surviving lines contend.  Thread *t*'s
+  buffer is thread 0's shifted by ``t * THREAD_REGION_LINES``, a multiple
+  of every level's set count (checked by :class:`CPUConfig`), so all
+  threads fill every set alike: one private walk serves every thread,
+  and the shared L3 holds ``n_threads`` times thread 0's survivors in
+  each set.
 
 All counts are reported *per iteration* (compute kernels) or *per access*
 (pointer chase), matching the per-iteration expectation vectors of the
@@ -32,6 +37,10 @@ from repro.hardware.fpu import FPUConfig, fp_pipeline_activity
 from repro.hardware.tlb import TLBConfig, tlb_activity
 
 __all__ = ["CPUConfig", "ComputeKernel", "PointerChase", "SimulatedCPU"]
+
+#: Lines between the starts of consecutive threads' chase buffers (4 GiB
+#: of 64 B lines).
+THREAD_REGION_LINES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,17 @@ class CPUConfig:
     l2_latency: float = 16.0
     l3_latency: float = 50.0
     mem_latency: float = 150.0
+
+    def __post_init__(self) -> None:
+        # Thread symmetry: buffers THREAD_REGION_LINES apart must fill
+        # every set of every level alike.
+        for level in ("l1d", "l2", "l3"):
+            n_sets = getattr(self, level).n_sets
+            if THREAD_REGION_LINES % n_sets:
+                raise ValueError(
+                    f"{level}: {n_sets} sets do not divide the "
+                    f"{THREAD_REGION_LINES}-line per-thread region"
+                )
 
 
 @dataclass(frozen=True)
@@ -163,7 +183,13 @@ class SimulatedCPU:
     def _thread_lines(self, chase: PointerChase, thread: int) -> np.ndarray:
         """Distinct line numbers a thread touches (disjoint across threads)."""
         stride_lines = max(1, chase.stride_bytes // self.config.l1d.line_bytes)
-        base = thread << 26  # disjoint 4-GiB line regions per thread
+        span = chase.n_pointers * stride_lines
+        if span > THREAD_REGION_LINES:
+            raise ValueError(
+                f"pointer chase spans {span} lines, more than the "
+                f"{THREAD_REGION_LINES}-line per-thread region"
+            )
+        base = thread * THREAD_REGION_LINES
         return base + np.arange(chase.n_pointers, dtype=np.int64) * stride_lines
 
     def run_pointer_chase(self, chase: PointerChase) -> List[Activity]:
@@ -172,46 +198,32 @@ class SimulatedCPU:
         L1 and L2 are private per thread (CAT pins one thread per core);
         L3 is shared: every thread's L2-missing lines contend in the same
         sets, so a set over-committed *globally* misses for all threads.
+
+        Every thread fills every set exactly as thread 0 does (see
+        :data:`THREAD_REGION_LINES`), so the private levels are walked
+        once, for thread 0; each shared-L3 set holds ``n_threads`` times
+        thread 0's survivors in it, and every thread gets thread 0's
+        counts.
         """
         cfg = self.config
-        per_thread_lines = [self._thread_lines(chase, t) for t in range(chase.n_threads)]
-
-        # Private levels: per-thread closed-form hits/misses per pass.  The
-        # hierarchy engine also reports the lines that missed both private
-        # levels — the arriving stream of the shared L3.
-        private = CacheHierarchy([cfg.l1d, cfg.l2])
-        private_counts = [private.cyclic_steady_state(lines) for lines in per_thread_lines]
-        l3_streams = [counts.survivors for counts in private_counts]
-
-        # Shared L3: global per-set occupancy decides hits for everyone.
-        all_l3_lines = (
-            np.concatenate(l3_streams) if l3_streams else np.zeros(0, dtype=np.int64)
+        # The hierarchy engine also reports the lines that missed both
+        # private levels — the arriving stream of the shared L3.
+        private = CacheHierarchy([cfg.l1d, cfg.l2]).cyclic_steady_state(
+            self._thread_lines(chase, 0)
         )
-        if all_l3_lines.size:
-            l3_sets_global = cfg.l3.set_index(all_l3_lines)
-            l3_per_set = np.bincount(l3_sets_global, minlength=cfg.l3.n_sets)
-            overfull = l3_per_set > cfg.l3.ways
-        else:
-            overfull = np.zeros(cfg.l3.n_sets, dtype=bool)
-
-        activities: List[Activity] = []
-        for thread in range(chase.n_threads):
-            counts = private_counts[thread]
-            l1 = counts.level("L1D")
-            l2 = counts.level("L2")
-            stream = l3_streams[thread]
-            if stream.size:
-                miss_mask = overfull[cfg.l3.set_index(stream)]
-                l3_hits = int(stream.size - miss_mask.sum())
-                l3_misses = int(miss_mask.sum())
-            else:
-                l3_hits = l3_misses = 0
-            activities.append(
-                self._chase_activity(
-                    chase, l1.hits, l1.misses, l2.hits, l2.misses, l3_hits, l3_misses
-                )
+        l1 = private.level("L1D")
+        l2 = private.level("L2")
+        stream = private.survivors
+        l3_sets = cfg.l3.set_index(stream)
+        l3_per_set = chase.n_threads * np.bincount(l3_sets, minlength=cfg.l3.n_sets)
+        l3_misses = int((l3_per_set > cfg.l3.ways)[l3_sets].sum())
+        l3_hits = int(stream.size) - l3_misses
+        return [
+            self._chase_activity(
+                chase, l1.hits, l1.misses, l2.hits, l2.misses, l3_hits, l3_misses
             )
-        return activities
+            for _ in range(chase.n_threads)
+        ]
 
     def run_pointer_chase_trace(
         self,

@@ -101,6 +101,18 @@ class TestCyclicSteadyState:
         with pytest.raises(ValueError):
             cyclic_steady_state(np.array([1, 1]), _tiny())
 
+    def test_unsorted_distinct_lines_match_sorted(self):
+        # The increasing-order fast path must not reject other orders.
+        cfg = _tiny()
+        lines = np.array([16, 3, 8, 0, 5, 24, 1])
+        assert cyclic_steady_state(lines, cfg) == cyclic_steady_state(
+            np.sort(lines), cfg
+        )
+
+    def test_unsorted_duplicate_lines_rejected(self):
+        with pytest.raises(ValueError):
+            cyclic_steady_state(np.array([5, 2, 9, 2]), _tiny())
+
     def test_empty(self):
         assert cyclic_steady_state(np.zeros(0, dtype=np.int64), _tiny()) == (0, 0)
 
@@ -149,6 +161,10 @@ class TestCacheHierarchy:
         counts = h.simulate_trace(np.arange(8))
         assert counts.level("L1").misses == 8  # cold
         assert counts.level("L2").accesses == 8
+
+    def test_duplicate_lines_rejected_on_entry(self):
+        with pytest.raises(ValueError):
+            self._hier().cyclic_steady_state(np.array([3, 0, 3]))
 
     def test_small_set_hits_l1_steady(self):
         h = self._hier()

@@ -6,6 +6,8 @@ import pytest
 from repro.activity import fp_instr_key
 from repro.hardware import ComputeKernel, CPUConfig, PointerChase, SimulatedCPU
 from repro.hardware.branch import BranchSpec
+from repro.hardware.cache import CacheConfig
+from repro.hardware.cpu import THREAD_REGION_LINES
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,19 @@ class TestPointerChase:
         l1 = cpu.run_pointer_chase(PointerChase(n_pointers=256, n_threads=1))[0]
         mem = cpu.run_pointer_chase(PointerChase(n_pointers=2**21, n_threads=1))[0]
         assert mem.get("cycles.core") > l1.get("cycles.core")
+
+    def test_chase_beyond_thread_region_rejected(self, cpu):
+        # 2^25 + 1 pointers two lines apart would run into thread 1's buffer.
+        chase = PointerChase(
+            n_pointers=THREAD_REGION_LINES // 2 + 1, stride_bytes=128, n_threads=2
+        )
+        with pytest.raises(ValueError, match="per-thread region"):
+            cpu.run_pointer_chase(chase)
+
+    def test_config_rejects_sets_not_dividing_thread_region(self):
+        too_many_sets = CacheConfig("L3", 2 * THREAD_REGION_LINES * 64, 64, 1)
+        with pytest.raises(ValueError, match="l3"):
+            CPUConfig(l3=too_many_sets)
 
     def test_validation(self):
         with pytest.raises(ValueError):
