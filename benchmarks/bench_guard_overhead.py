@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.metrics import compose_metric
 from repro.core.qrcp import qrcp_specialized
-from repro.guard import GuardConfig, certify_metric
+from repro.guard import GuardConfig, HoldoutFolds, certify_metric
 from repro.io.tables import write_markdown
 
 ALPHA = 5e-4
@@ -48,6 +48,8 @@ def _analysis_stages(result, guard):
     ).measurement_matrix()
     m_sel = matrix[:, [kept_idx[name] for name in names]]
     basis = result.representation.basis
+    if guard is not None and guard.certify:
+        folds = HoldoutFolds(basis.matrix, m_sel, guard.certify_holdouts)
     for definition_full in result.metrics.values():
         definition = compose_metric(
             definition_full.metric,
@@ -59,8 +61,7 @@ def _analysis_stages(result, guard):
         if guard is not None and guard.certify:
             certify_metric(
                 definition_full.metric,
-                basis.matrix,
-                m_sel,
+                folds,
                 definition_full.signature.coords,
                 names,
                 definition.coefficients,

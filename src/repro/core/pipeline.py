@@ -46,7 +46,13 @@ from repro.core.qrcp import QRCPResult, qrcp_specialized
 from repro.core.representation import RepresentationReport, represent_events
 from repro.core.signatures import Signature, signatures_for
 from repro.events.registry import EventRegistry
-from repro.guard import GuardConfig, GuardViolation, certify_metric, require_finite
+from repro.guard import (
+    GuardConfig,
+    GuardViolation,
+    HoldoutFolds,
+    certify_metric,
+    require_finite,
+)
 from repro.hardware.systems import MachineNode
 from repro.obs import get_tracer
 from repro.papi.presets import PresetTable
@@ -658,6 +664,8 @@ class AnalysisPipeline:
         if certify:
             kept_idx = {name: i for i, name in enumerate(noise.kept)}
             m_sel = matrix[:, [kept_idx[name] for name in selected_events]]
+            holdouts = config.guard.certify_holdouts
+            folds = HoldoutFolds(self.basis.matrix, m_sel, holdouts, config.lstsq_rcond)
 
         vet_stamp = None
         if self.priors is not None:
@@ -708,14 +716,12 @@ class AnalysisPipeline:
                     )
                     trust = certify_metric(
                         signature.name,
-                        self.basis.matrix,
-                        m_sel,
+                        folds,
                         signature.coords,
                         selected_events,
                         definition.coefficients,
                         definition.error,
                         config=config.guard,
-                        rcond=config.lstsq_rcond,
                         degraded=degraded,
                         guards_fired=fired,
                     )

@@ -8,6 +8,9 @@ contaminated by loop overhead (``INST_RETIRED:ANY``, cycles, uops), whose
 constant per-iteration component lies outside the span of the expectation
 columns.
 
+Every event is solved against the same ``E``, so ``E`` is factorized once
+per call and each event costs one solve against that factorization.
+
 The surviving representations are concatenated column-wise into the matrix
 ``X`` consumed by the specialized QRCP.
 """
@@ -20,7 +23,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.basis import ExpectationBasis
-from repro.linalg import lstsq_qr
+from repro.linalg import LstsqFactor
 
 __all__ = ["RepresentationReport", "represent_events"]
 
@@ -82,6 +85,7 @@ def represent_events(
     columns: List[np.ndarray] = []
     residuals: Dict[str, float] = {}
     rejected: List[str] = []
+    factor = LstsqFactor(basis.matrix)
     for j, name in enumerate(event_names):
         vector = m[:, j]
         norm = float(np.linalg.norm(vector))
@@ -89,7 +93,7 @@ def represent_events(
             residuals[name] = 1.0
             rejected.append(name)
             continue
-        result = lstsq_qr(basis.matrix, vector)
+        result = factor.solve(vector)
         residuals[name] = result.relative_residual
         if result.relative_residual <= threshold:
             kept_names.append(name)

@@ -24,7 +24,7 @@ no fallback engages below the thresholds.
 
 from __future__ import annotations
 
-from repro.guard.certify import TrustScore, certify_metric
+from repro.guard.certify import HoldoutFolds, TrustScore, certify_metric
 from repro.guard.health import (
     GuardConfig,
     NumericalHealth,
@@ -48,6 +48,7 @@ from repro.guard.validate import (
 __all__ = [
     "GuardConfig",
     "GuardViolation",
+    "HoldoutFolds",
     "NumericalHealth",
     "SmokeOutcome",
     "TrustScore",

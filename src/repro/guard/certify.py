@@ -8,7 +8,9 @@ produce almost the same residual, so the definition would not survive a
 change of calibration data.  The certification stage measures exactly
 that survival: drop one benchmark kernel row at a time, re-derive the
 selected events' representations from the reduced expectation basis,
-re-fit the metric, and compare.
+re-fit the metric, and compare.  The folds depend only on the basis and
+the selection, so :class:`HoldoutFolds` factorizes each one once per
+analysis and every metric costs one small solve per fold.
 
 A definition whose coefficients and backward error are stable across all
 holdouts earns ``certified``; visible-but-bounded movement earns
@@ -24,13 +26,14 @@ downstream consumers need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.guard.health import GuardConfig
+from repro.linalg.lstsq import LstsqFactor, LstsqResult
 
-__all__ = ["TrustScore", "certify_metric"]
+__all__ = ["HoldoutFolds", "TrustScore", "certify_metric"]
 
 #: Trust levels, best to worst.
 TRUST_LEVELS = ("certified", "caution", "reject")
@@ -90,38 +93,69 @@ def _holdout_rows(n_rows: int, max_holdouts: int) -> np.ndarray:
     )
 
 
-def _basis_rank(e: np.ndarray, rcond: Optional[float]) -> int:
-    """Numerical rank of a reduced basis, using the same QR + truncation
-    rule the refits will use (so 'identifiable' means identifiable *to
-    this solver*, not to an idealized one)."""
-    from repro.linalg import lstsq_qr
+class HoldoutFolds:
+    """The leave-one-kernel-out folds of one analysis, factorized once.
 
-    return lstsq_qr(e, np.zeros(e.shape[0]), rcond=rcond).rank
+    Per held-out kernel row: one factorization of the reduced basis (its
+    rank decides identifiability), one solve per selected event, and one
+    factorization of the resulting ``X-hat``.  Folds are built on first
+    use, in holdout order; a failed build is re-raised by every
+    :meth:`refit` of that fold.
+    """
 
+    def __init__(
+        self,
+        basis_matrix: np.ndarray,
+        selected_measurements: np.ndarray,
+        holdouts: int,
+        rcond: Optional[float] = None,
+    ):
+        self.basis = np.asarray(basis_matrix, dtype=np.float64)
+        self.measurements = np.asarray(selected_measurements, dtype=np.float64)
+        self.rows = _holdout_rows(self.basis.shape[0], holdouts)
+        self.rcond = rcond
+        self._x_hats: Dict[int, Union[LstsqFactor, Exception, None]] = {}
 
-def _refit(
-    e: np.ndarray, m_sel: np.ndarray, coords: np.ndarray, rcond: Optional[float]
-) -> Tuple[np.ndarray, float]:
-    """Representations from basis ``e`` and a metric refit over them."""
-    from repro.linalg import lstsq_qr
+    def identifiable(self, i: int) -> bool:
+        """Whether ``E`` without kernel row ``i`` keeps full column rank
+        *to this solver* (the same QR + truncation rule the refits use)."""
+        if i not in self._x_hats:
+            self._x_hats[i] = self._build(i)
+        return self._x_hats[i] is not None
 
-    x_hat = np.column_stack(
-        [lstsq_qr(e, m_sel[:, j], rcond=rcond).x for j in range(m_sel.shape[1])]
-    )
-    fit = lstsq_qr(x_hat, coords, rcond=rcond)
-    return fit.x, fit.backward_error
+    def _build(self, i: int) -> Union[LstsqFactor, Exception, None]:
+        keep = np.arange(self.basis.shape[0]) != i
+        basis = LstsqFactor(self.basis[keep], self.rcond)
+        # ||E[keep]||_2 first (the event solves need it anyway): a non-finite
+        # basis fails in the SVD instead of reading as rank 0 and skipping.
+        basis.norm
+        if basis.rank < self.basis.shape[1]:
+            return None
+        m_keep = self.measurements[keep]
+        try:
+            x_hat = np.column_stack(
+                [basis.solve(m_keep[:, j]).x for j in range(m_keep.shape[1])]
+            )
+            return LstsqFactor(x_hat, self.rcond)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return exc
+
+    def refit(self, i: int, coords: np.ndarray) -> LstsqResult:
+        """The metric refit over identifiable fold ``i``."""
+        x_hat = self._x_hats[i]
+        if isinstance(x_hat, Exception):
+            raise x_hat
+        return x_hat.solve(coords)
 
 
 def certify_metric(
     metric_name: str,
-    basis_matrix: np.ndarray,
-    selected_measurements: np.ndarray,
+    folds: HoldoutFolds,
     signature_coords: np.ndarray,
     event_names: Sequence[str],
     full_coefficients: np.ndarray,
     full_error: float,
     config: GuardConfig = GuardConfig(),
-    rcond: Optional[float] = None,
     degraded: bool = False,
     guards_fired: Sequence[str] = (),
 ) -> TrustScore:
@@ -129,11 +163,10 @@ def certify_metric(
 
     Parameters
     ----------
-    basis_matrix:
-        The expectation basis ``E`` (kernel rows x dimensions).
-    selected_measurements:
-        Measurement columns of the QRCP-selected events
-        (kernel rows x selected), in ``event_names`` order.
+    folds:
+        The analysis' :class:`HoldoutFolds`: the expectation basis ``E``
+        and the QRCP-selected events' measurement columns, in
+        ``event_names`` order.
     signature_coords:
         The metric's signature in expectation coordinates.
     full_coefficients / full_error:
@@ -143,11 +176,9 @@ def certify_metric(
         selection or a fired conditioning guard caps the level at
         ``caution`` even if the holdout spreads are clean.
     """
-    e = np.asarray(basis_matrix, dtype=np.float64)
-    m_sel = np.asarray(selected_measurements, dtype=np.float64)
     coords = np.asarray(signature_coords, dtype=np.float64)
     y_full = np.asarray(full_coefficients, dtype=np.float64)
-    n_rows, n_dims = e.shape
+    n_rows, n_dims = folds.basis.shape
 
     reasons: List[str] = []
     if not np.isfinite(y_full).all() or not np.isfinite(full_error):
@@ -156,7 +187,7 @@ def certify_metric(
             reasons=("fit produced non-finite coefficients or error",),
             suspect_events=tuple(event_names),
         )
-    if m_sel.shape[1] == 0:
+    if folds.measurements.shape[1] == 0:
         # Nothing was selected; the (empty) definition is vacuously exact
         # and there is nothing to cross-validate.
         return TrustScore(level="certified", n_holdouts=0)
@@ -173,12 +204,10 @@ def certify_metric(
     coeff_spread = 0.0
     error_spread = 0.0
     per_event_dev = np.zeros(len(event_names))
-    rows = _holdout_rows(n_rows, config.certify_holdouts)
     skipped = 0
     performed = 0
-    for i in rows:
-        keep = np.arange(n_rows) != i
-        if _basis_rank(e[keep], rcond) < n_dims:
+    for i in folds.rows:
+        if not folds.identifiable(i):
             # Removing this kernel collapses a basis dimension (the
             # kernel is the sole witness of some ideal event): the fold
             # cannot recalibrate *any* definition, so it carries no
@@ -187,7 +216,7 @@ def certify_metric(
             continue
         performed += 1
         try:
-            y_i, err_i = _refit(e[keep], m_sel[keep], coords, rcond)
+            fit = folds.refit(i, coords)
         except (ValueError, np.linalg.LinAlgError) as exc:
             return TrustScore(
                 level="reject",
@@ -196,6 +225,7 @@ def certify_metric(
                 n_skipped=skipped,
                 suspect_events=tuple(event_names),
             )
+        y_i, err_i = fit.x, fit.backward_error
         if not np.isfinite(y_i).all() or not np.isfinite(err_i):
             return TrustScore(
                 level="reject",

@@ -17,7 +17,9 @@ The public surface:
   explicit per-column updates (the form both QRCP algorithms consume).
 * :func:`repro.linalg.triangular.solve_upper` /
   :func:`repro.linalg.triangular.solve_lower` — substitution solvers.
-* :func:`repro.linalg.lstsq.lstsq_qr` — least squares via our QR.
+* :func:`repro.linalg.lstsq.lstsq_qr` — least squares via our QR;
+  :class:`repro.linalg.lstsq.LstsqFactor` — one factorization solved
+  against many right-hand sides.
 * :class:`repro.linalg.updates.UpdatableQR` — rank-one column
   insert/delete/replace updates of a QR with guard-certified solves
   (the ``repro.incr`` fast path).
@@ -31,13 +33,14 @@ from repro.linalg.householder import (
     householder_vector,
     qr_decompose,
 )
-from repro.linalg.lstsq import LstsqResult, default_rcond, lstsq_qr
+from repro.linalg.lstsq import LstsqFactor, LstsqResult, default_rcond, lstsq_qr
 from repro.linalg.norms import backward_error, frobenius_norm, spectral_norm
 from repro.linalg.triangular import solve_lower, solve_upper
 from repro.linalg.updates import UpdatableQR, givens_rotation
 
 __all__ = [
     "HouseholderQR",
+    "LstsqFactor",
     "LstsqResult",
     "UpdatableQR",
     "givens_rotation",

@@ -8,7 +8,10 @@ The pipeline solves two families of least-squares problems:
    match a metric signature (paper Section VI).
 
 Both need the residual and the Equation-5 backward error alongside the
-solution, so :func:`lstsq_qr` returns a :class:`LstsqResult` bundling them.
+solution, so every solve returns a :class:`LstsqResult` bundling them.
+Both solve many right-hand sides against one matrix, so :class:`LstsqFactor`
+factorizes once and solves each ``b`` against that factorization;
+:func:`lstsq_qr` is one factor and one solve, plus the optional guard.
 
 Rank-deficient systems are handled by truncating negligible diagonal entries
 of R (a pivoting-free variant of the usual QR-with-column-pivoting approach;
@@ -31,19 +34,20 @@ to the unguarded path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.linalg.householder import HouseholderQR
-from repro.linalg.norms import backward_error, vector_norm
+from repro.linalg.norms import spectral_norm, vector_norm
 from repro.linalg.triangular import solve_upper
 from repro.obs import get_tracer
 
 if TYPE_CHECKING:
     from repro.guard.health import GuardConfig, NumericalHealth
 
-__all__ = ["LstsqResult", "default_rcond", "lstsq_qr"]
+__all__ = ["LstsqFactor", "LstsqResult", "default_rcond", "lstsq_qr"]
 
 
 @dataclass(frozen=True)
@@ -87,37 +91,87 @@ def default_rcond(m: int, n: int) -> float:
     return max(m, n) * float(np.finfo(np.float64).eps)
 
 
-def _qr_solve(
-    a: np.ndarray, b: np.ndarray, rcond: float
-) -> Tuple[np.ndarray, int, np.ndarray]:
-    """Factor ``A`` and solve with diagonal truncation.
+class LstsqFactor:
+    """One Householder QR of ``A``, solved against any number of ``b``.
 
-    Returns ``(x, rank, r)`` where ``r`` is the ``(n, n)`` triangle used
-    for conditioning sentinels.
+    The constructor factorizes ``A`` and fixes its numerical ``rank``
+    (diagonal entries of the triangle ``r`` above ``rcond * max|diag(R)|``)
+    once; each :meth:`solve` returns the same bytes as an unguarded
+    :func:`lstsq_qr` call with the same ``A``, ``b`` and ``rcond``.
     """
-    m, n = a.shape
-    fact = HouseholderQR(a)
-    for _ in range(n):
-        fact.step()
-    qtb = fact.apply_qt(b)
-    r = fact.r_factor()[:, :n]
-    diag = np.abs(np.diag(r))
-    threshold = rcond * (diag.max() if diag.size else 0.0)
-    keep = diag > threshold
-    rank = int(keep.sum())
 
-    x = np.zeros(n)
-    if rank == n:
-        x = solve_upper(r, qtb[:n])
-    elif rank > 0:
+    def __init__(self, a: np.ndarray, rcond: Optional[float] = None):
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+        m, n = a.shape
+        if m < n:
+            raise ValueError(
+                f"lstsq_qr requires m >= n (got {a.shape}); the pipeline never "
+                "produces underdetermined systems"
+            )
+        self.a = a
+        self.rcond = default_rcond(m, n) if rcond is None else rcond
+        self._qr = HouseholderQR(a)
+        for _ in range(n):
+            self._qr.step()
+        self.r = self._qr.r_factor()[:, :n]
+        diag = np.abs(np.diag(self.r))
+        keep = diag > self.rcond * (diag.max() if diag.size else 0.0)
+        self.rank = int(keep.sum())
+        self._keep = np.flatnonzero(keep)
+
+    @cached_property
+    def norm(self) -> float:
+        """``||A||_2`` for the backward error (one SVD per factor)."""
+        return spectral_norm(self.a)
+
+    @cached_property
+    def _sub(self) -> "LstsqFactor":
         # Rank-deficient: minimize over the independent columns only, using
         # *all* rows of R (an independent column may have R entries in rows
-        # belonging to truncated columns).  The sub-matrix has full column
-        # rank, so the recursive call terminates after one level.
-        idx = np.flatnonzero(keep)
-        sub = lstsq_qr(r[:, idx], qtb[:n], rcond=rcond)
-        x[idx] = sub.x
-    return x, rank, r
+        # belonging to truncated columns).
+        return LstsqFactor(self.r[:, self._keep], self.rcond)
+
+    def _solve_x(self, b: np.ndarray) -> np.ndarray:
+        n = self.a.shape[1]
+        qtb = self._qr.apply_qt(b)
+        if self.rank == n:
+            return solve_upper(self.r, qtb[:n])
+        x = np.zeros(n)
+        if self.rank:
+            x[self._keep] = self._sub._solve_x(qtb[:n])
+        return x
+
+    def _fit(self, x: np.ndarray, b: np.ndarray) -> LstsqResult:
+        """Residuals and the Equation-5 backward error of ``x``."""
+        resid = vector_norm(self.a @ x - b)
+        b_norm = vector_norm(b)
+        denom = self.norm * vector_norm(x) + b_norm
+        return LstsqResult(
+            x=x,
+            residual_norm=resid,
+            relative_residual=0.0 if b_norm == 0.0 else resid / b_norm,
+            backward_error=0.0 if denom == 0.0 else resid / denom,
+            rank=self.rank,
+        )
+
+    def solve(self, b: np.ndarray) -> LstsqResult:
+        """Solve ``min_x ||A x - b||_2`` against this factorization."""
+        b = np.asarray(b, dtype=np.float64)
+        m, n = self.a.shape
+        if b.shape != (m,):
+            raise ValueError(f"rhs shape {b.shape} does not match matrix rows {m}")
+        if n == 0:
+            res = vector_norm(b)
+            return LstsqResult(
+                x=np.zeros(0),
+                residual_norm=res,
+                relative_residual=0.0 if res == 0.0 else 1.0,
+                backward_error=0.0 if res == 0.0 else 1.0,
+                rank=0,
+            )
+        return self._fit(self._solve_x(b), b)
 
 
 def _refine(
@@ -163,64 +217,29 @@ def lstsq_qr(
         :class:`~repro.guard.health.NumericalHealth` is attached to the
         returned :class:`LstsqResult`.
     """
-    a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    m, n = a.shape
-    if b.shape != (m,):
-        raise ValueError(f"rhs shape {b.shape} does not match matrix rows {m}")
-    if m < n:
-        raise ValueError(
-            f"lstsq_qr requires m >= n (got {a.shape}); the pipeline never "
-            "produces underdetermined systems"
-        )
-    if rcond is None:
-        rcond = default_rcond(m, n)
-    if n == 0:
-        res = vector_norm(b)
-        rel = 0.0 if res == 0.0 else 1.0
-        return LstsqResult(
-            x=np.zeros(0),
-            residual_norm=res,
-            relative_residual=rel,
-            backward_error=0.0 if res == 0.0 else 1.0,
-            rank=0,
-        )
+    factor = LstsqFactor(a, rcond)
+    result = factor.solve(b)
+    if guard is None or not guard.enabled or factor.a.shape[1] == 0:
+        return result
 
-    x, rank, r = _qr_solve(a, b, rcond)
+    from repro.guard.health import triangular_health
 
-    health: Optional["NumericalHealth"] = None
-    if guard is not None and guard.enabled:
-        from repro.guard.health import triangular_health
-
-        health = triangular_health(
-            r, original=a, refine_iterations=guard.refine_iterations
-        )
-        if health.condition_estimate > guard.condition_threshold:
-            x, health = _fallback_ladder(a, b, x, rcond, guard, health)
-
-    resid = vector_norm(a @ x - b)
-    b_norm = vector_norm(b)
-    rel = 0.0 if b_norm == 0.0 else resid / b_norm
-    bwd = backward_error(a, x, b)
-    if health is not None:
-        health = replace(health, residual_bound=bwd)
-    return LstsqResult(
-        x=x,
-        residual_norm=resid,
-        relative_residual=rel,
-        backward_error=bwd,
-        rank=rank,
-        health=health,
+    health = triangular_health(
+        factor.r, original=factor.a, refine_iterations=guard.refine_iterations
+    )
+    if health.condition_estimate > guard.condition_threshold:
+        x, health = _fallback_ladder(factor, b, result.x, guard, health)
+        result = factor._fit(x, b)
+    return replace(
+        result, health=replace(health, residual_bound=result.backward_error)
     )
 
 
 def _fallback_ladder(
-    a: np.ndarray,
+    factor: LstsqFactor,
     b: np.ndarray,
     x0: np.ndarray,
-    rcond: float,
     guard: "GuardConfig",
     health: "NumericalHealth",
 ) -> Tuple[np.ndarray, "NumericalHealth"]:
@@ -238,17 +257,17 @@ def _fallback_ladder(
     """
     from repro.guard.health import triangular_health
 
+    a = factor.a
     fired = list(health.guards_fired)
     norms = np.sqrt(np.einsum("ij,ij->j", a, a))
     scale = np.where(norms > 0.0, norms, 1.0)
     a_scaled = a / scale
     fired.append("column-scaling")
-    z, rank, r_scaled = _qr_solve(a_scaled, b, rcond)
-    x = z / scale
+    scaled = LstsqFactor(a_scaled, factor.rcond)
+    x = scaled._solve_x(b) / scale
 
     def solve_residual(res: np.ndarray) -> np.ndarray:
-        dz, _, _ = _qr_solve(a_scaled, res, rcond)
-        return dz / scale
+        return scaled._solve_x(res) / scale
 
     iterations = 0
     for _ in range(guard.max_refinements):
@@ -261,12 +280,12 @@ def _fallback_ladder(
 
     # Keep the better of (unguarded, guarded) by backward error: the
     # ladder must never make a solution worse.
-    if backward_error(a, x, b) > backward_error(a, x0, b):
+    if factor._fit(x, b).backward_error > factor._fit(x0, b).backward_error:
         x = x0
         fired.append("fallback-discarded")
 
     scaled_health = triangular_health(
-        r_scaled, original=a_scaled, refine_iterations=guard.refine_iterations
+        scaled.r, original=a_scaled, refine_iterations=guard.refine_iterations
     )
     tracer = get_tracer()
     for rung in fired[len(health.guards_fired):]:

@@ -190,7 +190,7 @@ class UpdatableQR:
     def _solve(
         self, b: np.ndarray, rcond: float
     ) -> Tuple[np.ndarray, int, np.ndarray]:
-        """Mirror of ``lstsq._qr_solve`` off the maintained factors:
+        """Mirror of ``LstsqFactor.solve`` off the maintained factors:
         diagonal rank truncation, recursive sub-solve when deficient."""
         n = self.n
         qtb = self.q.T @ b

@@ -4,7 +4,7 @@ degrade, and uninformative folds are skipped — not failed."""
 import numpy as np
 import pytest
 
-from repro.guard import GuardConfig, TrustScore, certify_metric
+from repro.guard import GuardConfig, HoldoutFolds, TrustScore, certify_metric
 from repro.linalg import lstsq_qr
 
 # A well-conditioned 6x2 expectation basis: every dimension witnessed by
@@ -23,6 +23,7 @@ BASIS = np.array(
 W = np.array([[1.0, 0.25], [0.5, 1.0]])
 COORDS = np.array([1.0, 1.0])
 EVENTS = ["EV_A", "EV_B"]
+HOLDOUTS = GuardConfig().certify_holdouts
 
 
 def _full_fit(e, m_sel, coords, rcond=None):
@@ -38,7 +39,7 @@ class TestCertified:
         m_sel = BASIS @ W
         y, err = _full_fit(BASIS, m_sel, COORDS)
         trust = certify_metric(
-            "m", BASIS, m_sel, COORDS, EVENTS, y, err
+            "m", HoldoutFolds(BASIS, m_sel, HOLDOUTS), COORDS, EVENTS, y, err
         )
         assert trust.level == "certified"
         assert trust.certified
@@ -50,8 +51,7 @@ class TestCertified:
     def test_empty_selection_is_vacuously_certified(self):
         trust = certify_metric(
             "m",
-            BASIS,
-            np.zeros((6, 0)),
+            HoldoutFolds(BASIS, np.zeros((6, 0)), HOLDOUTS),
             COORDS,
             [],
             np.zeros(0),
@@ -71,8 +71,9 @@ class TestDegradation:
     def test_tight_tolerance_yields_caution(self):
         m_sel, y, err = self._noisy()
         config = GuardConfig(certify_coeff_tol=1e-12, reject_coeff_tol=1e6)
+        folds = HoldoutFolds(BASIS, m_sel, HOLDOUTS)
         trust = certify_metric(
-            "m", BASIS, m_sel, COORDS, EVENTS, y, err, config=config
+            "m", folds, COORDS, EVENTS, y, err, config=config
         )
         assert trust.level == "caution"
         assert any("coefficient spread" in r for r in trust.reasons)
@@ -83,8 +84,9 @@ class TestDegradation:
         config = GuardConfig(
             certify_coeff_tol=1e-12, reject_coeff_tol=1e-12
         )
+        folds = HoldoutFolds(BASIS, m_sel, HOLDOUTS)
         trust = certify_metric(
-            "m", BASIS, m_sel, COORDS, EVENTS, y, err, config=config
+            "m", folds, COORDS, EVENTS, y, err, config=config
         )
         assert trust.level == "reject"
         assert any("does not survive recalibration" in r for r in trust.reasons)
@@ -92,8 +94,7 @@ class TestDegradation:
     def test_nonfinite_fit_is_rejected(self):
         trust = certify_metric(
             "m",
-            BASIS,
-            BASIS @ W,
+            HoldoutFolds(BASIS, BASIS @ W, HOLDOUTS),
             COORDS,
             EVENTS,
             np.array([np.nan, 1.0]),
@@ -108,8 +109,7 @@ class TestDegradation:
         y, err = _full_fit(BASIS, m_sel, COORDS)
         trust = certify_metric(
             "m",
-            BASIS,
-            m_sel,
+            HoldoutFolds(BASIS, m_sel, HOLDOUTS),
             COORDS,
             EVENTS,
             y,
@@ -122,8 +122,9 @@ class TestDegradation:
     def test_degraded_selection_caps_at_caution(self):
         m_sel = BASIS @ W
         y, err = _full_fit(BASIS, m_sel, COORDS)
+        folds = HoldoutFolds(BASIS, m_sel, HOLDOUTS)
         trust = certify_metric(
-            "m", BASIS, m_sel, COORDS, EVENTS, y, err, degraded=True
+            "m", folds, COORDS, EVENTS, y, err, degraded=True
         )
         assert trust.level == "caution"
         assert any("fault-degraded" in r for r in trust.reasons)
@@ -137,7 +138,8 @@ class TestIdentifiabilitySkips:
         w = np.array([[1.0], [1.0]])
         m_sel = e @ w
         y, err = _full_fit(e, m_sel, COORDS)
-        trust = certify_metric("m", e, m_sel, COORDS, ["EV_A"], y, err)
+        folds = HoldoutFolds(e, m_sel, HOLDOUTS)
+        trust = certify_metric("m", folds, COORDS, ["EV_A"], y, err)
         assert trust.level == "certified"
         assert trust.n_holdouts == 2
         assert trust.n_skipped == 1
@@ -148,7 +150,12 @@ class TestIdentifiabilitySkips:
         e = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         m_sel = np.array([[1.0], [2.0], [3.0]])
         trust = certify_metric(
-            "m", e, m_sel, COORDS, ["EV_A"], np.array([1.0]), 0.0
+            "m",
+            HoldoutFolds(e, m_sel, HOLDOUTS),
+            COORDS,
+            ["EV_A"],
+            np.array([1.0]),
+            0.0,
         )
         assert trust.level == "caution"
         assert trust.n_holdouts == 0
@@ -159,8 +166,7 @@ class TestIdentifiabilitySkips:
         e = np.eye(2)
         trust = certify_metric(
             "m",
-            e,
-            np.ones((2, 1)),
+            HoldoutFolds(e, np.ones((2, 1)), HOLDOUTS),
             np.ones(2),
             ["EV_A"],
             np.array([1.0]),

@@ -1,11 +1,238 @@
 """Tests for the QR-based least-squares solver and Equation-5 backward error."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import backward_error, lstsq_qr
+from repro.guard.health import GuardConfig, triangular_health
+from repro.linalg import (
+    HouseholderQR,
+    LstsqFactor,
+    LstsqResult,
+    backward_error,
+    default_rcond,
+    lstsq_qr,
+    solve_upper,
+)
+from repro.linalg.norms import vector_norm
+
+
+# -- reference: the solver as it was before LstsqFactor ------------------
+# One fresh factorization per call, including inside the rank-deficient
+# sub-solve and every refinement step.  LstsqFactor and the certification
+# folds built on it must reproduce these bytes exactly.
+
+
+def _parent_qr_solve(a, b, rcond):
+    m, n = a.shape
+    fact = HouseholderQR(a)
+    for _ in range(n):
+        fact.step()
+    qtb = fact.apply_qt(b)
+    r = fact.r_factor()[:, :n]
+    diag = np.abs(np.diag(r))
+    threshold = rcond * (diag.max() if diag.size else 0.0)
+    keep = diag > threshold
+    rank = int(keep.sum())
+    x = np.zeros(n)
+    if rank == n:
+        x = solve_upper(r, qtb[:n])
+    elif rank > 0:
+        idx = np.flatnonzero(keep)
+        x[idx] = parent_lstsq_qr(r[:, idx], qtb[:n], rcond=rcond).x
+    return x, rank, r
+
+
+def _parent_refine(a, b, x, solve_residual, dtype):
+    residual = b.astype(dtype) - a.astype(dtype) @ x.astype(dtype)
+    dx = solve_residual(np.asarray(residual, dtype=np.float64))
+    return np.asarray(x.astype(dtype) + dx.astype(dtype), dtype=np.float64)
+
+
+def _parent_fallback_ladder(a, b, x0, rcond, guard, health):
+    fired = list(health.guards_fired)
+    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    scale = np.where(norms > 0.0, norms, 1.0)
+    a_scaled = a / scale
+    fired.append("column-scaling")
+    z, _, r_scaled = _parent_qr_solve(a_scaled, b, rcond)
+    x = z / scale
+
+    def solve_residual(res):
+        return _parent_qr_solve(a_scaled, res, rcond)[0] / scale
+
+    iterations = 0
+    for _ in range(guard.max_refinements):
+        fired.append("iterative-refinement-float64")
+        x = _parent_refine(a, b, x, solve_residual, np.float64)
+        iterations += 1
+        fired.append("iterative-refinement-longdouble")
+        x = _parent_refine(a, b, x, solve_residual, np.longdouble)
+        iterations += 1
+    if backward_error(a, x, b) > backward_error(a, x0, b):
+        x = x0
+        fired.append("fallback-discarded")
+    scaled_health = triangular_health(
+        r_scaled, original=a_scaled, refine_iterations=guard.refine_iterations
+    )
+    return x, replace(
+        health,
+        rank_gap=max(health.rank_gap, scaled_health.rank_gap),
+        suspect_columns=tuple(
+            sorted(set(health.suspect_columns) | set(scaled_health.suspect_columns))
+        ),
+        refinement_iterations=iterations,
+        guards_fired=tuple(fired),
+    )
+
+
+def parent_lstsq_qr(a, b, rcond=None, guard=None):
+    """The pre-LstsqFactor ``lstsq_qr``, kept as a byte-level reference."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError(f"rhs shape {b.shape} does not match matrix rows {m}")
+    if m < n:
+        raise ValueError(
+            f"lstsq_qr requires m >= n (got {a.shape}); the pipeline never "
+            "produces underdetermined systems"
+        )
+    if rcond is None:
+        rcond = default_rcond(m, n)
+    if n == 0:
+        res = vector_norm(b)
+        return LstsqResult(
+            x=np.zeros(0),
+            residual_norm=res,
+            relative_residual=0.0 if res == 0.0 else 1.0,
+            backward_error=0.0 if res == 0.0 else 1.0,
+            rank=0,
+        )
+    x, rank, r = _parent_qr_solve(a, b, rcond)
+    health = None
+    if guard is not None and guard.enabled:
+        health = triangular_health(
+            r, original=a, refine_iterations=guard.refine_iterations
+        )
+        if health.condition_estimate > guard.condition_threshold:
+            x, health = _parent_fallback_ladder(a, b, x, rcond, guard, health)
+    resid = vector_norm(a @ x - b)
+    b_norm = vector_norm(b)
+    bwd = backward_error(a, x, b)
+    if health is not None:
+        health = replace(health, residual_bound=bwd)
+    return LstsqResult(
+        x=x,
+        residual_norm=resid,
+        relative_residual=0.0 if b_norm == 0.0 else resid / b_norm,
+        backward_error=bwd,
+        rank=rank,
+        health=health,
+    )
+
+
+def assert_same_bytes(res, ref):
+    """Field-by-field byte equality of two :class:`LstsqResult`."""
+    assert res.x.dtype == ref.x.dtype and res.x.shape == ref.x.shape
+    assert res.x.tobytes() == ref.x.tobytes()
+    for field in ("residual_norm", "relative_residual", "backward_error"):
+        got, want = getattr(res, field), getattr(ref, field)
+        assert type(got) is type(want), field
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), field
+    assert res.rank == ref.rank
+    assert pickle.dumps(res.health) == pickle.dumps(ref.health)
+
+
+def _ill_conditioned(seed=0):
+    """Columns of wildly different scale that are nearly dependent: the
+    sentinel fires and the whole fallback ladder runs."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(12, 3))
+    a = np.column_stack(
+        [base[:, 0] * 1e6, base[:, 0] * 1e-3 + 1e-9 * base[:, 1], base[:, 2]]
+    )
+    return a, rng.normal(size=12)
+
+
+class TestLstsqFactor:
+    """``LstsqFactor(a).solve(b)`` is the old ``lstsq_qr(a, b)``, byte for
+    byte, and one factor serves any number of right-hand sides."""
+
+    RNG = np.random.default_rng(7)
+    FULL = RNG.normal(size=(9, 4))
+    DEFICIENT = np.column_stack([FULL[:, :3], FULL[:, 1]])
+    B = RNG.normal(size=9)
+
+    @pytest.mark.parametrize(
+        "a, b, rcond",
+        [
+            pytest.param(FULL, B, None, id="full-rank"),
+            pytest.param(DEFICIENT, B, None, id="duplicated-column"),
+            pytest.param(np.zeros((9, 0)), B, None, id="n-zero"),
+            pytest.param(FULL, np.zeros(9), None, id="zero-rhs"),
+            pytest.param(DEFICIENT, np.zeros(9), None, id="deficient-zero-rhs"),
+            pytest.param(FULL, B, 1e-3, id="rcond"),
+            pytest.param(FULL * [1, 1, 1e-5, 1], B, 1e-3, id="rcond-truncates"),
+        ],
+    )
+    def test_solve_matches_parent_lstsq(self, a, b, rcond):
+        ref = parent_lstsq_qr(a, b, rcond=rcond)
+        assert_same_bytes(LstsqFactor(a, rcond).solve(b), ref)
+        assert_same_bytes(lstsq_qr(a, b, rcond=rcond), ref)
+
+    def test_truncated_columns_solve_to_zero(self):
+        factor = LstsqFactor(self.DEFICIENT)
+        assert factor.rank == 3
+        assert factor.solve(self.B).x[3] == 0.0
+        factor = LstsqFactor(self.FULL * [1, 1, 1e-5, 1], rcond=1e-3)
+        assert factor.rank == 3
+        assert factor.solve(self.B).x[2] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.permutations(range(4)))
+    def test_solves_are_independent_of_order(self, seed, order):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(8, 3))
+        if seed % 2:
+            a[:, 2] = a[:, 0]
+        bs = [rng.normal(size=8), np.zeros(8), rng.normal(size=8), a[:, 0]]
+        factor = LstsqFactor(a)
+        results = {j: factor.solve(bs[j]) for j in order}
+        for j, b in enumerate(bs):
+            assert_same_bytes(results[j], parent_lstsq_qr(a, b))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_guarded_ladder_matches_parent(self, seed):
+        a, b = _ill_conditioned(seed)
+        guard = GuardConfig(condition_threshold=1e3)
+        res = lstsq_qr(a, b, guard=guard)
+        ref = parent_lstsq_qr(a, b, guard=guard)
+        assert "column-scaling" in res.health.guards_fired
+        assert res.health.refinement_iterations > 0
+        assert res.health.guards_fired == ref.health.guards_fired
+        assert_same_bytes(res, ref)
+
+    def test_constructor_rejects_what_lstsq_qr_rejects(self):
+        for a in (np.ones((2, 5)), np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError) as factor_err:
+                LstsqFactor(a)
+            with pytest.raises(ValueError) as lstsq_err:
+                lstsq_qr(a, np.ones(a.shape[0]))
+            assert str(factor_err.value) == str(lstsq_err.value)
+        factor = LstsqFactor(np.ones((4, 2)))
+        for b in (np.ones(3), np.ones((4, 1))):
+            with pytest.raises(ValueError) as solve_err:
+                factor.solve(b)
+            with pytest.raises(ValueError) as lstsq_err:
+                lstsq_qr(np.ones((4, 2)), b)
+            assert str(solve_err.value) == str(lstsq_err.value)
 
 
 class TestLstsqQR:

@@ -29,10 +29,11 @@ from repro.serve.service import request_identity
 METRIC = "Mispredicted Branches."
 
 
-def _await_live(supervisor, want, budget=30.0):
+def _await_status(supervisor, done, budget=30.0):
+    """Poll ``supervisor.status()`` until ``done(status)`` holds."""
     deadline = time.time() + budget
     while time.time() < deadline:
-        if supervisor.status()["live"] >= want:
+        if done(supervisor.status()):
             return True
         time.sleep(0.2)
     return False
@@ -87,14 +88,24 @@ class TestSupervisedServing:
             assert payload["live"] == 2
             assert {w["state"] for w in payload["workers"]} == {"live"}
 
-            # 2. SIGKILL one worker: the request rides a re-dispatch to
-            # the survivor, and the slot restarts within budget.
-            supervisor.slots[0].process.kill()
+            # 2. SIGKILL one worker: the pool keeps serving, and the slot
+            # restarts within budget.  kill() only sends the signal, so
+            # wait for the death itself, then for the restart the
+            # assertion below checks: a still-running victim would let
+            # "2 live" hold before the supervisor ever saw it die.
+            killed = supervisor.slots[0].process
+            killed.kill()
+            await loop.run_in_executor(None, killed.join, 30.0)
+            assert killed.exitcode is not None
             second = await loop.run_in_executor(None, metric)
             assert second["stale"] is False
             assert second["metric"] == METRIC
             recovered = await loop.run_in_executor(
-                None, _await_live, supervisor, 2
+                None,
+                _await_status,
+                supervisor,
+                lambda status: status["live"] >= 2
+                and status["workers"][0]["restarts"] >= 1,
             )
             assert recovered, "killed worker did not restart within budget"
             assert supervisor.status()["workers"][0]["restarts"] >= 1
