@@ -31,6 +31,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -203,9 +204,18 @@ def expand_grid(
     return tasks
 
 
-def _execute_task(task: SweepTask, attempt: int = 0) -> PipelineResult:
+def _execute_task(
+    task: SweepTask, attempt: int = 0, cancel: Optional[threading.Event] = None
+) -> PipelineResult:
     """Worker body: build the node and run its pipeline (picklable,
-    module-level, so it works under a process pool)."""
+    module-level, so it works under a process pool).
+
+    ``cancel`` is set by a thread-pool engine when it abandons the attempt
+    on timeout: the injected hang ends early and the attempt stops before
+    it builds a node, so it cannot run a pipeline in the caller's process
+    after the engine has moved on.  Process workers get none and sleep the
+    hang out, as before.
+    """
     injector = None
     pre_records: List[FaultRecord] = []
     if task.faults is not None and task.faults.enabled:
@@ -213,7 +223,10 @@ def _execute_task(task: SweepTask, attempt: int = 0) -> PipelineResult:
         injector.check_worker_crash(task.label, attempt)
         hang = injector.hang_duration(task.label, attempt)
         if hang > 0:
-            time.sleep(hang)
+            if (cancel or threading.Event()).wait(hang):
+                raise TimeoutError(
+                    f"{task.label} attempt {attempt} abandoned during its hang"
+                )
             # The worker outlived its injected hang (no timeout killed
             # it): the fault delayed the task but cost nothing else.
             injector.records[-1].outcome = "recovered"
@@ -246,10 +259,12 @@ def _execute_task(task: SweepTask, attempt: int = 0) -> PipelineResult:
     return result
 
 
-def _run_one(task: SweepTask, attempt: int = 0) -> SweepOutcome:
+def _run_one(
+    task: SweepTask, attempt: int = 0, cancel: Optional[threading.Event] = None
+) -> SweepOutcome:
     start = time.perf_counter()
     try:
-        result = _execute_task(task, attempt)
+        result = _execute_task(task, attempt, cancel)
     except Exception as exc:  # noqa: BLE001 — one task must not sink the sweep
         return SweepOutcome(
             task=task,
@@ -423,6 +438,7 @@ class SweepEngine:
         checkpoint: Optional[SweepCheckpoint],
     ) -> None:
         pool = self._make_pool()
+        threads = isinstance(pool, ThreadPoolExecutor)
         try:
             attempt = {i: 0 for i in pending}
             failures: Dict[int, List[Tuple[str, str]]] = {i: [] for i in pending}
@@ -431,8 +447,15 @@ class SweepEngine:
             while wave:
                 if wave_no:
                     time.sleep(self.backoff * 2 ** (wave_no - 1))
+                # Thread attempts share this process, so each gets an event
+                # to stop it once abandoned; an Event cannot be pickled to
+                # a process worker, whose hang is left to run out.
+                cancels = {
+                    i: threading.Event() if threads else None for i in wave
+                }
                 futures = {
-                    i: pool.submit(_run_one, tasks[i], attempt[i]) for i in wave
+                    i: pool.submit(_run_one, tasks[i], attempt[i], cancels[i])
+                    for i in wave
                 }
                 next_wave: List[int] = []
                 for i in wave:
@@ -440,6 +463,8 @@ class SweepEngine:
                         outcome = futures[i].result(timeout=self.task_timeout)
                     except FuturesTimeoutError:
                         futures[i].cancel()
+                        if cancels[i] is not None:
+                            cancels[i].set()
                         outcome = SweepOutcome(
                             task=tasks[i],
                             error=(

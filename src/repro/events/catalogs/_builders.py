@@ -5,19 +5,26 @@ same events with the same noise parameters, so that repeated pipeline runs
 are reproducible and tests can assert on exact event lists.  Noise
 magnitudes are therefore derived from a CRC of the event's full name rather
 than from any global random state.
+
+Determinism also makes both pure functions of their arguments, so each is
+computed once per process: :func:`cached_catalog` keeps every catalog's
+frozen events and :func:`log_uniform_sigma` keeps every drawn magnitude.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.events.model import RawEvent
 from repro.events.noise import NoiseModel, no_noise, relative_gaussian, spiky
+from repro.events.registry import EventRegistry
 
 __all__ = [
+    "cached_catalog",
     "family",
     "name_rng",
     "log_uniform_sigma",
@@ -31,12 +38,45 @@ def name_rng(full_name: str, salt: str = "") -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+@functools.lru_cache(maxsize=2**15)
 def log_uniform_sigma(full_name: str, lo: float, hi: float, salt: str = "noise") -> float:
-    """Draw a log-uniform magnitude in ``[lo, hi]`` keyed to the event name."""
+    """Draw a log-uniform magnitude in ``[lo, hi]`` keyed to the event name.
+
+    Memoized: the CAT runner asks for every measured event's environment
+    sigma on every run, and a fresh generator per event costs far more than
+    the lookup.  The bound covers every (event, range, salt) the three
+    catalogs and their benchmarks use.
+    """
     if not (0 < lo <= hi):
         raise ValueError(f"invalid sigma range [{lo}, {hi}]")
     rng = name_rng(full_name, salt)
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def cached_catalog(
+    build: Callable[..., EventRegistry]
+) -> Callable[..., EventRegistry]:
+    """Run a catalog builder once per process and arguments.
+
+    The decorated function returns a *new* :class:`EventRegistry` over the
+    memoized events on every call, so a caller that adds to its registry
+    never changes the next caller's.  Sharing the events is safe because
+    :class:`RawEvent` and its noise model are frozen and no code changes a
+    response in place (registry edits build new events).  ``__wrapped__``
+    is the uncached builder.
+    """
+
+    @functools.lru_cache(maxsize=16)
+    def frozen(*args, **kwargs):
+        registry = build(*args, **kwargs)
+        return registry.name, tuple(registry)
+
+    @functools.wraps(build)
+    def catalog(*args, **kwargs) -> EventRegistry:
+        name, events = frozen(*args, **kwargs)
+        return EventRegistry(events, name=name)
+
+    return catalog
 
 
 #: Named noise classes used across catalogs.  The magnitudes reproduce the

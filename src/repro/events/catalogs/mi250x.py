@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.events.catalogs._builders import family
+from repro.events.catalogs._builders import cached_catalog, family
 from repro.events.model import EventDomain, RawEvent
 from repro.events.registry import EventRegistry
 from repro.activity import VALU_PRECISIONS, valu_instr_key
@@ -271,8 +271,9 @@ def _device_families() -> List[Tuple[str, str, Dict[str, Dict[str, float]], str,
     return fams
 
 
+@cached_catalog
 def mi250x_events(device_count: int = MI250X_DEVICE_COUNT, active_device: int = 0) -> EventRegistry:
-    """Build the MI250X catalog: every family instantiated per device.
+    """The MI250X catalog: every family instantiated per device.
 
     Only ``active_device`` (where CAT launches its kernels) carries live
     responses; the other devices' copies are idle — instruction counters

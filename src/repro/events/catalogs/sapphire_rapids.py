@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.events.catalogs._builders import family
+from repro.events.catalogs._builders import cached_catalog, family
 from repro.events.model import EventDomain, RawEvent
 from repro.events.registry import EventRegistry
 from repro.activity import fp_instr_key
@@ -1054,8 +1054,9 @@ def _extended_events() -> List[RawEvent]:
     return events
 
 
+@cached_catalog
 def sapphire_rapids_events() -> EventRegistry:
-    """Build the full SPR core-event catalog (deterministic)."""
+    """The full SPR core-event catalog (deterministic; built once per process)."""
     registry = EventRegistry(name="intel_sapphire_rapids")
     for builder in (
         _fp_events,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.events.catalogs._builders import family
+from repro.events.catalogs._builders import cached_catalog, family
 from repro.events.model import EventDomain, RawEvent
 from repro.events.registry import EventRegistry
 from repro.activity import (
@@ -526,8 +526,9 @@ def _extended_events() -> List[RawEvent]:
     return events
 
 
+@cached_catalog
 def zen3_events() -> EventRegistry:
-    """Build the Zen 3 (Trento) core-event catalog (deterministic)."""
+    """The Zen 3 (Trento) core-event catalog (deterministic; built once per process)."""
     registry = EventRegistry(name="amd_zen3_trento")
     for builder in (
         _fp_events,

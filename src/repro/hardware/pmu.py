@@ -64,33 +64,38 @@ class PMU:
         Fixed-eligible events fill the fixed counters of each group first;
         everything else consumes programmable slots.  Deterministic: events
         are placed in the order given.
+
+        Slots only ever fill, so the first group with a free programmable
+        slot and the first with a free fixed slot only move forward: each
+        event is placed in O(1) amortized time instead of rescanning every
+        group from the first.
         """
         groups: List[List[RawEvent]] = []
         prog_used: List[int] = []
         fixed_used: List[int] = []
+        first_prog = 0  # first group with a free programmable slot
+        first_fixed = 0  # first group with a free fixed slot
 
         for event in events:
             eligible_fixed = event.name in _FIXED_ELIGIBLE
-            placed = False
-            for i in range(len(groups)):
-                if eligible_fixed and fixed_used[i] < self.fixed_counters:
-                    groups[i].append(event)
-                    fixed_used[i] += 1
-                    placed = True
-                    break
-                if prog_used[i] < self.programmable_counters:
-                    groups[i].append(event)
-                    prog_used[i] += 1
-                    placed = True
-                    break
-            if not placed:
-                groups.append([event])
-                if eligible_fixed and self.fixed_counters > 0:
-                    prog_used.append(0)
-                    fixed_used.append(1)
-                else:
-                    prog_used.append(1)
-                    fixed_used.append(0)
+            i = min(first_prog, first_fixed) if eligible_fixed else first_prog
+            if i == len(groups):
+                groups.append([])
+                prog_used.append(0)
+                fixed_used.append(0)
+            groups[i].append(event)
+            if eligible_fixed and fixed_used[i] < self.fixed_counters:
+                fixed_used[i] += 1
+            else:
+                prog_used[i] += 1
+            while first_prog < len(groups) and (
+                prog_used[first_prog] >= self.programmable_counters
+            ):
+                first_prog += 1
+            while first_fixed < len(groups) and (
+                fixed_used[first_fixed] >= self.fixed_counters
+            ):
+                first_fixed += 1
         return CounterSchedule(groups=groups)
 
     def read(

@@ -10,11 +10,14 @@ by the least-squares solver and the tests.
 
 All reflector applications are vectorized rank-1 updates
 (``A -= beta * v @ (v.T @ A)``); there are no elementwise Python loops.
+Each step keeps its reflector as ``(k, v, beta * v)``, so applying ``Q^T``
+to a vector is one ``ddot`` and one scaled subtraction per reflector with
+no per-solve allocation of ``v``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -68,9 +71,12 @@ def apply_householder(a: np.ndarray, v: np.ndarray, beta: float) -> None:
     """
     if beta == 0.0:
         return
-    a_mat = a if a.ndim == 2 else a.reshape(-1, 1)
-    w = v @ a_mat  # shape (n_cols,)
-    a_mat -= np.outer(beta * v, w)
+    _reflect_block(a if a.ndim == 2 else a.reshape(-1, 1), v, beta * v)
+
+
+def _reflect_block(a_mat: np.ndarray, v: np.ndarray, bv: np.ndarray) -> None:
+    """``a_mat -= (beta v) (v^T a_mat)`` in place, given ``bv = beta * v``."""
+    a_mat -= np.outer(bv, v @ a_mat)
 
 
 class HouseholderQR:
@@ -98,7 +104,8 @@ class HouseholderQR:
         self.a = a
         self.m, self.n = a.shape
         self.rank = 0
-        self._betas: list = []
+        # (k, v, beta * v) of every non-identity reflector, in step order.
+        self._reflectors: List[Tuple[int, np.ndarray, np.ndarray]] = []
 
     def swap_columns(self, i: int, j: int) -> None:
         """Swap columns ``i`` and ``j`` of the working matrix."""
@@ -132,7 +139,8 @@ class HouseholderQR:
         self.a[k + 1 :, k] = v[1:]  # store reflector tail in compact form
         if k + 1 < self.n:
             apply_householder(self.a[k:, k + 1 :], v, beta)
-        self._betas.append(beta)
+        if beta != 0.0:
+            self._reflectors.append((k, v, beta * v))
         self.rank += 1
         return float(alpha)
 
@@ -145,20 +153,24 @@ class HouseholderQR:
         """Apply ``Q^T`` (product of performed reflectors) to ``b``.
 
         ``b`` may be a vector of length ``m`` or an ``(m, p)`` matrix; a new
-        array is returned.
+        array is returned.  A vector takes one ``np.dot`` per reflector: the
+        same ``ddot`` numpy's matmul dispatches to for a ``(1, 1)`` product,
+        so the result is bit-identical to reflecting it as an ``(m, 1)``
+        column.  A matrix has all its columns reflected at once (``gemv``),
+        which is not bitwise equal to reflecting them one at a time.
         """
-        b = np.array(b, dtype=np.float64, copy=True)
-        vec_input = b.ndim == 1
-        b_mat = b.reshape(self.m, -1)
-        for k in range(self.rank):
-            beta = self._betas[k]
-            if beta == 0.0:
-                continue
-            v = np.empty(self.m - k)
-            v[0] = 1.0
-            v[1:] = self.a[k + 1 :, k]
-            apply_householder(b_mat[k:, :], v, beta)
-        return b_mat.ravel() if vec_input else b_mat
+        y = np.array(b, dtype=np.float64, copy=True)
+        if y.shape[0] != self.m:
+            raise ValueError(f"rhs has {y.shape[0]} rows, expected {self.m}")
+        if y.ndim == 1:
+            for k, v, bv in self._reflectors:
+                tail = y[k:]
+                tail -= bv * np.dot(v, tail)
+            return y
+        b_mat = y.reshape(self.m, -1)
+        for k, v, bv in self._reflectors:
+            _reflect_block(b_mat[k:, :], v, bv)
+        return b_mat
 
 
 def qr_decompose(
@@ -184,14 +196,8 @@ def qr_decompose(
     # Form Q by applying the reflectors to the identity: Q = H_1 ... H_n I.
     q_cols = n if economy else m
     q = np.eye(m, q_cols)
-    for k in range(n - 1, -1, -1):
-        beta = fact._betas[k]
-        if beta == 0.0:
-            continue
-        v = np.empty(m - k)
-        v[0] = 1.0
-        v[1:] = fact.a[k + 1 :, k]
-        apply_householder(q[k:, :], v, beta)
+    for k, v, bv in reversed(fact._reflectors):
+        _reflect_block(q[k:, :], v, bv)
     r_full = np.triu(fact.a)
     r = r_full[:n, :n] if economy else r_full
     return q, r

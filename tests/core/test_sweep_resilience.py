@@ -2,6 +2,8 @@
 timeouts, and checkpoint/resume."""
 
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -123,6 +125,28 @@ class TestTimeout:
         outcome = engine.run([task, SweepTask("frontier-cpu", "branch")])[0]
         assert not outcome.ok
         assert outcome.error_type == "TimeoutError"
+
+    def test_abandoned_thread_attempt_stops(self):
+        # A thread attempt abandoned mid-hang must not wake up later and
+        # run its pipeline in this process: its worker thread exits soon
+        # after the engine returns, well before the 5 s hang would end.
+        before = set(threading.enumerate())
+        hang = FaultConfig(seed=3, hang_rate=1.0, hang_seconds=5.0, transient=False)
+        engine = SweepEngine(
+            executor="thread", max_workers=2, task_timeout=0.5, max_retries=0
+        )
+        outcomes = engine.run(
+            [
+                SweepTask("aurora", "branch", faults=hang),
+                SweepTask("frontier-cpu", "branch", faults=hang),
+            ]
+        )
+        assert [o.error_type for o in outcomes] == ["TimeoutError"] * 2
+        workers = [t for t in threading.enumerate() if t not in before]
+        deadline = time.monotonic() + 1.0
+        for thread in workers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not [t.name for t in workers if t.is_alive()]
 
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.events import EventDomain
+from repro.events import EventDomain, RawEvent
 from repro.events.catalogs import (
     MI250X_DEVICE_COUNT,
+    _builders,
     mi250x_events,
     sapphire_rapids_events,
+    zen3_events,
 )
 from repro.activity import Activity, fp_instr_key, valu_instr_key
 
@@ -166,3 +168,38 @@ class TestMI250XCatalog:
 
     def test_deterministic_rebuild(self, gpu):
         assert mi250x_events().full_names == gpu.full_names
+
+
+
+@pytest.mark.parametrize(
+    "build, kwargs",
+    [
+        (sapphire_rapids_events, {}),
+        (zen3_events, {}),
+        (mi250x_events, {}),
+        (mi250x_events, {"device_count": 2, "active_device": 1}),
+    ],
+    ids=["spr", "zen3", "mi250x", "mi250x-2dev"],
+)
+class TestCatalogMemoization:
+    """Each catalog's events are built once per process; every call still
+    hands out its own registry over them."""
+
+    def test_each_call_returns_a_fresh_registry(self, build, kwargs):
+        first = build(**kwargs)
+        size, digest = len(first), first.content_digest()
+        first.add(RawEvent(name="ADDED_BY_A_CALLER", domain=EventDomain.OTHER))
+        assert first.content_digest() != digest
+        second = build(**kwargs)
+        assert len(second) == size
+        assert second.content_digest() == digest
+        assert "ADDED_BY_A_CALLER" not in second
+
+    def test_cached_build_matches_uncached(self, build, kwargs, monkeypatch):
+        cached = build(**kwargs)
+        monkeypatch.setattr(
+            _builders, "log_uniform_sigma", _builders.log_uniform_sigma.__wrapped__
+        )
+        uncached = build.__wrapped__(**kwargs)
+        assert uncached.name == cached.name
+        assert uncached.content_digest() == cached.content_digest()

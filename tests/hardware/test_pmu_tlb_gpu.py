@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.activity import Activity, valu_instr_key
 from repro.events import EventDomain, RawEvent
@@ -13,7 +15,53 @@ def _evt(name, qualifier=""):
     return RawEvent(name=name, qualifier=qualifier, domain=EventDomain.OTHER, response={"a": 1.0})
 
 
+def _reference_schedule(events, programmable, fixed):
+    """The quadratic first-fit scheduler: every event rescans every group
+    from the first.  ``PMU.schedule`` must produce the same groups."""
+    groups, prog_used, fixed_used = [], [], []
+    for event in events:
+        eligible_fixed = event.name in ("INST_RETIRED", "CPU_CLK_UNHALTED", "TOPDOWN")
+        placed = False
+        for i in range(len(groups)):
+            if eligible_fixed and fixed_used[i] < fixed:
+                groups[i].append(event)
+                fixed_used[i] += 1
+                placed = True
+                break
+            if prog_used[i] < programmable:
+                groups[i].append(event)
+                prog_used[i] += 1
+                placed = True
+                break
+        if not placed:
+            groups.append([event])
+            if eligible_fixed and fixed > 0:
+                prog_used.append(0)
+                fixed_used.append(1)
+            else:
+                prog_used.append(1)
+                fixed_used.append(0)
+    return groups
+
+
 class TestPMUScheduling:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["INST_RETIRED", "CPU_CLK_UNHALTED", "TOPDOWN", "OTHER"]),
+            max_size=60,
+        ),
+        st.integers(1, 9),
+        st.integers(0, 4),
+    )
+    def test_first_fit_matches_reference(self, names, programmable, fixed):
+        events = [_evt(name, f"Q{i}") for i, name in enumerate(names)]
+        schedule = PMU(programmable, fixed).schedule(events)
+        expected = _reference_schedule(events, programmable, fixed)
+        assert [[e.full_name for e in g] for g in schedule.groups] == [
+            [e.full_name for e in g] for g in expected
+        ]
+
     def test_small_sets_fit_one_group(self):
         pmu = PMU(programmable_counters=8)
         schedule = pmu.schedule([_evt(f"E{i}") for i in range(8)])

@@ -13,8 +13,10 @@ from repro.linalg import (
     HouseholderQR,
     LstsqFactor,
     LstsqResult,
+    apply_householder,
     backward_error,
     default_rcond,
+    householder_vector,
     lstsq_qr,
     solve_upper,
 )
@@ -24,23 +26,66 @@ from repro.linalg.norms import vector_norm
 # -- reference: the solver as it was before LstsqFactor ------------------
 # One fresh factorization per call, including inside the rank-deficient
 # sub-solve and every refinement step.  LstsqFactor and the certification
-# folds built on it must reproduce these bytes exactly.
+# folds built on it must reproduce these bytes exactly.  The kernels are
+# copies too: a factorization that logs only ``beta`` per step, ``Q^T b``
+# rebuilt from the compact storage reflector by reflector and applied as an
+# ``(m, 1)`` column, and back substitution on an ``(n, 1)`` column.
+
+
+def _parent_factor(a):
+    """``(compact a, betas)`` after a full Householder QR of ``a``."""
+    a = np.array(a, dtype=np.float64, copy=True)
+    n = a.shape[1]
+    betas = []
+    for k in range(n):
+        v, beta, alpha = householder_vector(a[k:, k])
+        a[k, k] = alpha
+        a[k + 1 :, k] = v[1:]
+        if k + 1 < n:
+            apply_householder(a[k:, k + 1 :], v, beta)
+        betas.append(beta)
+    return a, betas
+
+
+def _parent_apply_qt(compact, betas, b):
+    m = compact.shape[0]
+    b_mat = np.array(b, dtype=np.float64, copy=True).reshape(m, -1)
+    for k, beta in enumerate(betas):
+        if beta == 0.0:
+            continue
+        v = np.empty(m - k)
+        v[0] = 1.0
+        v[1:] = compact[k + 1 :, k]
+        w = v @ b_mat[k:, :]
+        b_mat[k:, :] -= np.outer(beta * v, w)
+    return b_mat.ravel()
+
+
+def _parent_solve_upper(r, b):
+    n = r.shape[0]
+    x = np.array(b, dtype=np.float64, copy=True).reshape(n, -1)
+    for i in range(n - 1, -1, -1):
+        diag = r[i, i]
+        if abs(diag) <= 0.0:
+            raise np.linalg.LinAlgError(f"zero diagonal at index {i}")
+        if i + 1 < n:
+            x[i, :] -= r[i, i + 1 :] @ x[i + 1 :, :]
+        x[i, :] /= diag
+    return x.ravel()
 
 
 def _parent_qr_solve(a, b, rcond):
     m, n = a.shape
-    fact = HouseholderQR(a)
-    for _ in range(n):
-        fact.step()
-    qtb = fact.apply_qt(b)
-    r = fact.r_factor()[:, :n]
+    compact, betas = _parent_factor(a)
+    qtb = _parent_apply_qt(compact, betas, b)
+    r = np.triu(compact[:n, :])
     diag = np.abs(np.diag(r))
     threshold = rcond * (diag.max() if diag.size else 0.0)
     keep = diag > threshold
     rank = int(keep.sum())
     x = np.zeros(n)
     if rank == n:
-        x = solve_upper(r, qtb[:n])
+        x = _parent_solve_upper(r, qtb[:n])
     elif rank > 0:
         idx = np.flatnonzero(keep)
         x[idx] = parent_lstsq_qr(r[:, idx], qtb[:n], rcond=rcond).x
@@ -219,6 +264,28 @@ class TestLstsqFactor:
         assert res.health.guards_fired == ref.health.guards_fired
         assert_same_bytes(res, ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["full", "deficient", "square"]))
+    def test_random_solves_match_parent_bytes(self, seed, kind):
+        # Full rank runs the 1-D kernels once; a duplicated column runs
+        # them again inside the rank-deficient sub-factor.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        m = n if kind == "square" else n + int(rng.integers(1, 8))
+        a = rng.normal(size=(m, n)) * rng.choice([1e-6, 1.0, 1e6], size=n)
+        if kind == "deficient" and n > 1:
+            a[:, -1] = a[:, 0] * rng.normal()
+        factor = LstsqFactor(a)
+        for b in (rng.normal(size=m), a[:, 0], np.zeros(m)):
+            assert_same_bytes(factor.solve(b), parent_lstsq_qr(a, b))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_guarded_ladder_matches_parent_bytes(self, seed):
+        a, b = _ill_conditioned(seed)
+        guard = GuardConfig(condition_threshold=1e3)
+        assert_same_bytes(lstsq_qr(a, b, guard=guard), parent_lstsq_qr(a, b, guard=guard))
+
     def test_constructor_rejects_what_lstsq_qr_rejects(self):
         for a in (np.ones((2, 5)), np.ones(4), np.ones((2, 2, 2))):
             with pytest.raises(ValueError) as factor_err:
@@ -233,6 +300,39 @@ class TestLstsqFactor:
             with pytest.raises(ValueError) as lstsq_err:
                 lstsq_qr(np.ones((4, 2)), b)
             assert str(solve_err.value) == str(lstsq_err.value)
+
+
+class TestOneDimensionalKernels:
+    """The 1-D ``apply_qt`` (cached reflectors, one ``np.dot`` each) and
+    ``solve_upper`` (one ``np.dot`` per row) equal the parent's column
+    kernels byte for byte."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["full", "deficient", "square", "zero-column"]),
+    )
+    def test_apply_qt_and_solve_upper_match_parent(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        m = n if kind == "square" else n + int(rng.integers(1, 8))
+        a = rng.normal(size=(m, n)) * rng.choice([1e-8, 1.0, 1e8], size=n)
+        if kind == "deficient" and n > 1:
+            a[:, 1:] = a[:, :1] * rng.normal(size=n - 1)
+        if kind == "zero-column":
+            a[:, int(rng.integers(n))] = 0.0  # an identity reflector
+        fact = HouseholderQR(a)
+        for _ in range(n):
+            fact.step()
+        compact, betas = _parent_factor(a)
+        assert fact.a.tobytes() == compact.tobytes()
+        r = fact.r_factor()[:, :n]
+        for b in (rng.normal(size=m), a[:, -1], np.zeros(m)):
+            qtb = fact.apply_qt(b)
+            assert qtb.tobytes() == _parent_apply_qt(compact, betas, b).tobytes()
+            if np.all(np.diag(r) != 0.0):
+                x = solve_upper(r, qtb[:n])
+                assert x.tobytes() == _parent_solve_upper(r, qtb[:n]).tobytes()
 
 
 class TestLstsqQR:
