@@ -211,10 +211,10 @@ def _execute_task(
     module-level, so it works under a process pool).
 
     ``cancel`` is set by a thread-pool engine when it abandons the attempt
-    on timeout: the injected hang ends early and the attempt stops before
-    it builds a node, so it cannot run a pipeline in the caller's process
-    after the engine has moved on.  Process workers get none and sleep the
-    hang out, as before.
+    on timeout.  An attempt abandoned during its injected hang, or before it
+    builds its node, stops there and runs no pipeline in the caller's
+    process; one already building its node or running its pipeline runs to
+    the end.  Process workers get none and sleep the hang out, as before.
     """
     injector = None
     pre_records: List[FaultRecord] = []
@@ -234,6 +234,8 @@ def _execute_task(
         if task.cache_dir is not None:
             injector.maybe_corrupt_cache(task.cache_dir, task.label)
         pre_records = list(injector.records)
+    if cancel is not None and cancel.is_set():
+        raise TimeoutError(f"{task.label} attempt {attempt} abandoned before its run")
     node = SWEEP_SYSTEMS[task.system](seed=task.seed)
     cache = None
     config = task.config

@@ -150,27 +150,22 @@ class HouseholderQR:
         return np.triu(self.a[:k, :])
 
     def apply_qt(self, b: np.ndarray) -> np.ndarray:
-        """Apply ``Q^T`` (product of performed reflectors) to ``b``.
+        """Apply ``Q^T`` (product of performed reflectors) to a vector ``b``.
 
-        ``b`` may be a vector of length ``m`` or an ``(m, p)`` matrix; a new
-        array is returned.  A vector takes one ``np.dot`` per reflector: the
-        same ``ddot`` numpy's matmul dispatches to for a ``(1, 1)`` product,
-        so the result is bit-identical to reflecting it as an ``(m, 1)``
-        column.  A matrix has all its columns reflected at once (``gemv``),
-        which is not bitwise equal to reflecting them one at a time.
+        ``b`` has length ``m``; a new array is returned.  Each reflector
+        costs one ``np.dot``: the same ``ddot`` numpy's matmul dispatches to
+        for a ``(1, 1)`` product, so the result is bit-identical to
+        reflecting ``b`` as an ``(m, 1)`` column.  A block of columns
+        reflected at once would go through ``gemv``, which is not bitwise
+        equal to reflecting them one at a time.
         """
         y = np.array(b, dtype=np.float64, copy=True)
-        if y.shape[0] != self.m:
-            raise ValueError(f"rhs has {y.shape[0]} rows, expected {self.m}")
-        if y.ndim == 1:
-            for k, v, bv in self._reflectors:
-                tail = y[k:]
-                tail -= bv * np.dot(v, tail)
-            return y
-        b_mat = y.reshape(self.m, -1)
+        if y.shape != (self.m,):
+            raise ValueError(f"rhs shape {y.shape} is not ({self.m},)")
         for k, v, bv in self._reflectors:
-            _reflect_block(b_mat[k:, :], v, bv)
-        return b_mat
+            tail = y[k:]
+            tail -= bv * np.dot(v, tail)
+        return y
 
 
 def qr_decompose(

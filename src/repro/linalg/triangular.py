@@ -33,29 +33,19 @@ def solve_upper(r: np.ndarray, b: np.ndarray, tol: float = 0.0) -> np.ndarray:
     n = r.shape[0]
     if r.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {r.shape}")
-    if b.ndim == 1:
-        # One ddot per row: the same kernel numpy's matmul runs for the
-        # (1, 1) product of a row and an (n, 1) column, so the bytes match
-        # the block branch below applied to ``b.reshape(n, 1)``.
-        x = np.array(b, dtype=np.float64, copy=True)
-        if x.shape != (n,):
-            raise ValueError(f"rhs shape {x.shape} does not match matrix order {n}")
-        for i in range(n - 1, -1, -1):
-            diag = r[i, i]
-            if abs(diag) <= tol:
-                raise np.linalg.LinAlgError(_SINGULAR_MSG.format(idx=i))
-            if i + 1 < n:
-                x[i] -= np.dot(r[i, i + 1 :], x[i + 1 :])
-            x[i] /= diag
-        return x
-    x = np.array(b, dtype=np.float64, copy=True).reshape(n, -1)
+    x = np.array(b, dtype=np.float64, copy=True)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"rhs shape {x.shape} does not match matrix order {n}")
     for i in range(n - 1, -1, -1):
         diag = r[i, i]
         if abs(diag) <= tol:
             raise np.linalg.LinAlgError(_SINGULAR_MSG.format(idx=i))
         if i + 1 < n:
-            x[i, :] -= r[i, i + 1 :] @ x[i + 1 :, :]
-        x[i, :] /= diag
+            # A vector's row update is one ddot, the kernel numpy's matmul
+            # also runs for a (1, 1) product, so its bytes do not depend on
+            # whether ``b`` came as ``(n,)`` or ``(n, 1)``.
+            x[i] -= r[i, i + 1 :] @ x[i + 1 :]
+        x[i] /= diag
     return x
 
 

@@ -148,6 +148,20 @@ class TestTimeout:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         assert not [t.name for t in workers if t.is_alive()]
 
+    def test_attempt_cancelled_before_its_run_builds_no_node(self, monkeypatch):
+        # An attempt abandoned after its hang ended but before it built its
+        # node stops there instead of running a pipeline.
+        import repro.core.sweep as sweep_mod
+
+        def build(seed):
+            raise AssertionError("a cancelled attempt built its node")
+
+        monkeypatch.setitem(sweep_mod.SWEEP_SYSTEMS, "aurora", build)
+        cancel = threading.Event()
+        cancel.set()
+        with pytest.raises(TimeoutError, match="abandoned before its run"):
+            sweep_mod._execute_task(SweepTask("aurora", "branch"), 0, cancel)
+
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError):
             SweepEngine(task_timeout=0)
