@@ -26,13 +26,11 @@ Results land in ``results/serve_load.md``.  Worker processes spawn per
 drill, so this is among the slower benches; rounds are pinned to 1.
 """
 
-import asyncio
-
 import pytest
 
 from repro.io.tables import write_markdown
 from repro.serve import LoadStep, Workload, run_load_drill
-from repro.serve.chaos import _baseline_digests
+from repro.serve.chaos import baseline_digests
 
 SEED = 2024
 
@@ -64,10 +62,7 @@ _TIER_RPS = {}
 
 @pytest.fixture(scope="module")
 def throughput_baseline():
-    baseline, _ = asyncio.run(
-        _baseline_digests(THROUGHPUT_WORKLOAD.universe(), None)
-    )
-    return baseline
+    return baseline_digests(THROUGHPUT_WORKLOAD.universe(), None)
 
 
 def _tier_row(report):

@@ -345,10 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     loadtest = sub.add_parser(
         "loadtest",
-        help="closed-loop load drill: drive a serving tier with a "
-        "deterministic workload and check the invariant (every response "
-        "bit-identical to the single-process answer, a typed 429/503, "
-        "or explicitly stale)",
+        help="closed-loop serving drill: drive a serving tier with a "
+        "deterministic workload, optionally under a chaos fault plan, "
+        "and check the invariant (every response bit-identical to the "
+        "single-process answer, a typed 429/503/504, or explicitly "
+        "stale)",
     )
     loadtest.add_argument(
         "--catalog",
@@ -403,37 +404,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="machine-readable per-step rows instead of the summary",
     )
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="closed-loop serve-layer chaos drill: drive a supervised "
-        "pool under injected faults and check the invariant (every "
-        "response bit-identical, explicitly stale, or a typed error)",
-    )
-    chaos.add_argument(
-        "--catalog",
-        required=True,
-        metavar="DIR",
-        help="catalog root the drill publishes into (disposable)",
-    )
-    chaos.add_argument("--cache-dir", default=None, metavar="DIR")
-    chaos.add_argument(
-        "--spec",
-        required=True,
-        help="chaos spec, e.g. "
+    loadtest.add_argument(
+        "--chaos",
+        default=None,
+        metavar="SPEC",
+        help="fault plan for the sharded pool, e.g. "
         "'seed=7,kill=0.2,hang=0.1,torn=0.3,drop=0.1,latency=0.2' "
-        "(see repro.faults.parse_chaos_spec)",
-    )
-    chaos.add_argument("--system", default="aurora", choices=sorted(SWEEP_SYSTEMS))
-    chaos.add_argument("--domain", default="branch")
-    chaos.add_argument("--requests", type=int, default=8)
-    chaos.add_argument("--seed", type=int, default=2024)
-    chaos.add_argument("--workers", type=int, default=3)
-    chaos.add_argument(
-        "--recovery-budget",
-        type=float,
-        default=30.0,
-        help="seconds the pool gets to return to full strength",
+        "(see repro.faults.parse_chaos_spec); use --clients 1 "
+        "--hot-fraction 0 for a reproducible fault sequence",
     )
 
     catalog = sub.add_parser(
@@ -739,6 +717,15 @@ def _validate_args(args) -> None:
         raise _usage_exit(
             "repro-cat loadtest: --target sharded needs --catalog"
         )
+    if args.command == "loadtest" and args.chaos is not None:
+        from repro.faults import parse_chaos_spec
+
+        if args.target != "sharded":
+            raise _usage_exit("repro-cat loadtest: --chaos needs --target sharded")
+        try:
+            parse_chaos_spec(args.chaos)  # fail fast on a bad spec
+        except ValueError as exc:
+            raise _usage_exit(f"repro-cat loadtest: {exc}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1243,6 +1230,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "loadtest":
+        import dataclasses
         import json
 
         from repro.serve import LoadStep, Workload, run_load_drill
@@ -1269,15 +1257,23 @@ def _main(argv: Optional[List[str]] = None) -> int:
             workload=workload,
             steps=steps,
             cache_dir=args.cache_dir,
+            chaos_spec=args.chaos,
         )
         if args.json:
+            fsck = report.fsck
             print(
                 json.dumps(
                     {
                         "target": report.target,
                         "ok": report.ok,
+                        "violations": len(report.violations),
                         "coalesced": report.coalesced,
                         "catalog_hits": report.catalog_hits,
+                        "recovered": report.recovered,
+                        "recovery_seconds": report.recovery_seconds,
+                        "fsck": None
+                        if fsck is None
+                        else {**dataclasses.asdict(fsck), "clean": fsck.clean},
                         "steps": [s.to_row() for s in report.steps],
                     },
                     indent=2,
@@ -1286,38 +1282,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
             )
         else:
             print(report.summary())
-        for violation in report.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 0 if report.ok else 1
-
-    if args.command == "chaos":
-        from repro.faults import parse_chaos_spec
-        from repro.serve import SupervisorConfig, run_chaos_drill
-
-        try:
-            parse_chaos_spec(args.spec)  # fail fast on a bad spec
-        except ValueError as exc:
-            raise _usage_exit(f"repro-cat chaos: {exc}")
-        report = run_chaos_drill(
-            args.catalog,
-            chaos_spec=args.spec,
-            cache_dir=args.cache_dir,
-            pairs=((args.system, args.domain),),
-            requests=args.requests,
-            base_seed=args.seed,
-            config=SupervisorConfig(
-                workers=args.workers,
-                heartbeat_timeout=1.5,
-                backoff_base=0.1,
-                backoff_max=1.0,
-                restart_intensity=10,
-                stale_max_age=3600.0,
-            ),
-            recovery_budget=args.recovery_budget,
-        )
-        print(report.summary())
-        if report.fsck is not None:
-            print(report.fsck.summary())
         for violation in report.violations:
             print(f"VIOLATION: {violation}", file=sys.stderr)
         return 0 if report.ok else 1

@@ -10,8 +10,10 @@ exact discipline the measurement injector established: every decision is
 drawn from its own stream keyed by ``(seed, kind, site)`` — a pure
 function of the configuration and the site name, independent of
 execution order, process boundaries, or how many times other sites were
-consulted.  A closed-loop chaos drill that names its sites by request
-ordinal therefore injects the same faults on every run.
+consulted.  A closed-loop drill with a fault plan
+(:func:`repro.serve.load.run_load_drill` with ``chaos_spec``, one
+sequential client) names its sites by request ordinal and therefore
+injects the same faults on every run.
 
 Site conventions (what the serving tier passes as ``site``):
 
@@ -27,7 +29,7 @@ Site conventions (what the serving tier passes as ``site``):
 
 Like the measurement-path model, a zero-rate config injects nothing and
 the chaos-wrapped serving path is behaviourally identical to the
-unwrapped one (property: the chaos drill with a zero spec produces
+unwrapped one (property: the load drill with a zero chaos spec produces
 responses bit-identical to single-service serving).
 """
 
@@ -75,7 +77,7 @@ class ChaosConfig:
         sending any response — the retrying client's problem.
     latency_rate / latency_seconds:
         Probability (and size of) injected response latency, for
-        exercising client deadlines and hedging.
+        exercising client deadlines.
     """
 
     seed: int = 0

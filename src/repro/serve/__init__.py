@@ -17,23 +17,22 @@ Layers, bottom up:
   restarts under an intensity cap, re-dispatch of in-flight requests,
   stale fallback when the whole pool is down.
 * :mod:`repro.serve.client` — the blocking :class:`CatalogClient`: one
-  attempt by default, optionally retrying, deadline-bounded,
-  breaker-guarded and hedging; its transport is also the supervisor's
-  hop to a worker.
+  attempt by default, optionally retrying under a deadline; its
+  transport is also the supervisor's hop to a worker.
 * :mod:`repro.serve.shard` — a consistent-hash ring
   (:class:`ShardRing`) partitioning the catalog by (architecture,
   metric) across N shard directories, fronted by
   :class:`ShardedCatalogStore`: routed reads/writes, deterministic
   fan-out for listings/fsck, and a hot-entry read-replica cache
   invalidated on the events-registry digest.
-* :mod:`repro.serve.chaos` — the closed-loop chaos drill that proves
-  the tier's invariant: every response under injected faults is
-  bit-identical to the fault-free answer, explicitly stale, or a typed
-  error.
-* :mod:`repro.serve.load` — the closed-loop load harness: open- and
+* :mod:`repro.serve.chaos` — the invariant's ground truth: the
+  definition digest of a served payload and the in-process baseline
+  every drill judges responses against.
+* :mod:`repro.serve.load` — the one serving drill: open- and
   closed-loop workload models, deterministic per-client streams,
-  latency percentiles, saturation sweeps over offered rps, and the
-  same bit-identical / typed-rejection / explicit-stale invariant
+  latency percentiles, saturation sweeps over offered rps, an optional
+  chaos fault plan with bounded recovery and a post-mortem ``fsck``,
+  and the bit-identical / typed-rejection / explicit-stale invariant
   checked on every response.
 
 See ``docs/serving.md`` (failure modes & recovery) and
@@ -51,11 +50,9 @@ from repro.serve.catalog import (
     entries_from_result,
     metric_slug,
 )
-from repro.serve.chaos import ChaosReport, definition_digest, run_chaos_drill
+from repro.serve.chaos import baseline_digests, definition_digest
 from repro.serve.client import (
-    BreakerOpen,
     CatalogClient,
-    CircuitBreaker,
     DeadlineExceeded,
     RetryPolicy,
     idempotency_key,
@@ -94,12 +91,9 @@ from repro.serve.supervisor import (
 
 __all__ = [
     "AnalysisRequest",
-    "BreakerOpen",
     "CatalogClient",
     "CatalogDiff",
     "CatalogEntry",
-    "ChaosReport",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "FsckReport",
     "HttpMetricServer",
@@ -124,6 +118,7 @@ __all__ = [
     "TransportError",
     "Workload",
     "analysis_config_digest",
+    "baseline_digests",
     "definition_digest",
     "diff_entries",
     "entries_from_result",
@@ -131,7 +126,6 @@ __all__ = [
     "latency_percentile",
     "metric_slug",
     "open_catalog",
-    "run_chaos_drill",
     "run_load_drill",
     "run_server",
     "shard_names",

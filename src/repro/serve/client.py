@@ -1,7 +1,7 @@
 """Blocking client for the metric service.
 
 A thin :mod:`http.client` wrapper for scripts, tests, the CI smoke jobs
-and the chaos drill — no asyncio required on the calling side.
+and the serving drill — no asyncio required on the calling side.
 Non-200 responses raise :class:`~repro.serve.service.ServiceError` (or
 its :class:`~repro.serve.service.ServiceBusy` subclass for 429)
 carrying the server's JSON payload; transport failures — connection
@@ -12,9 +12,8 @@ flag is the complete error-handling story.
 
 By default :class:`CatalogClient` makes one attempt.  Its options add
 the client half of the fault-tolerance contract: retries with
-deterministic backoff jitter, a per-request deadline, a circuit breaker
-per endpoint, and hedged reads against replicas.  Retrying and hedging
-are safe because every request carries the service's request-coalescing
+deterministic backoff jitter and a per-request deadline.  Retrying is
+safe because every request carries the service's request-coalescing
 identity ``(system, domain, seed, faults)`` as its idempotency key: a
 duplicate that arrives while the original runs coalesces onto the same
 in-flight analysis, and one that arrives after it hits the catalog.
@@ -28,9 +27,8 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import quote, urlencode
 
 from repro.io.digest import json_digest, sha256_hex
@@ -38,16 +36,12 @@ from repro.obs import get_tracer
 from repro.serve.service import ServiceBusy, ServiceError, TransportError
 
 __all__ = [
-    "BreakerOpen",
     "CatalogClient",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "RetryPolicy",
     "http_exchange",
     "idempotency_key",
 ]
-
-Endpoint = Tuple[str, int]
 
 
 def http_exchange(
@@ -94,7 +88,7 @@ def idempotency_key(
     """The request's idempotency key: a digest of the service's
     request-coalescing identity.  Two calls with equal keys can never
     compute twice server-side (coalescing in flight, catalog after), so
-    retrying or hedging under this key is always safe."""
+    retrying under this key is always safe."""
     return json_digest(
         {"system": system, "domain": domain, "seed": seed, "faults": faults},
         length=16,
@@ -112,21 +106,6 @@ class DeadlineExceeded(ServiceError):
                 f"{attempts} attempt(s)",
                 "retry": True,
                 "last_error": last_error.payload if last_error else None,
-            },
-        )
-
-
-class BreakerOpen(ServiceError):
-    """Fast-fail: the endpoint's circuit breaker is open."""
-
-    def __init__(self, endpoint: str, open_for: float):
-        super().__init__(
-            503,
-            {
-                "error": f"circuit breaker open for {endpoint}",
-                "retry": True,
-                "breaker": "open",
-                "open_for_seconds": round(max(0.0, open_for), 3),
             },
         )
 
@@ -158,110 +137,21 @@ class RetryPolicy:
         return base * (0.5 + 0.5 * fraction)
 
 
-class CircuitBreaker:
-    """Classic three-state breaker over consecutive failures.
-
-    *closed* — calls flow; ``failure_threshold`` consecutive failures
-    trip to *open* (``breaker.opened``).  *open* — :meth:`allow` is
-    False (fast-fail) until ``reset_after`` seconds pass, then one probe
-    is admitted (*half-open*, ``breaker.half_open``).  A probe success
-    re-closes (``breaker.closed``); a probe failure re-opens and the
-    timer restarts.  Thread-compatible for the blocking client's usage
-    (one logical request at a time per client instance).
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_after: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.reset_after = reset_after
-        self._clock = clock
-        self.state = "closed"
-        self.failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    @property
-    def open_for(self) -> float:
-        """Seconds until the breaker will admit a half-open probe."""
-        if self.state != "open":
-            return 0.0
-        return max(0.0, self.reset_after - (self._clock() - self._opened_at))
-
-    def allow(self) -> bool:
-        """Whether a call may proceed now (admits the half-open probe)."""
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            if self._clock() - self._opened_at < self.reset_after:
-                return False
-            self.state = "half-open"
-            self._probing = False
-            get_tracer().incr("breaker.half_open")
-        # half-open: exactly one probe at a time.
-        if self._probing:
-            return False
-        self._probing = True
-        return True
-
-    def record_success(self) -> None:
-        if self.state != "closed":
-            get_tracer().incr("breaker.closed")
-        self.state = "closed"
-        self.failures = 0
-        self._probing = False
-
-    def record_failure(self) -> None:
-        if self.state == "half-open":
-            self._trip()
-            return
-        self.failures += 1
-        if self.failures >= self.failure_threshold:
-            self._trip()
-
-    def _trip(self) -> None:
-        if self.state != "open":
-            get_tracer().incr("breaker.opened")
-        self.state = "open"
-        self._opened_at = self._clock()
-        self.failures = 0
-        self._probing = False
-
-
 class CatalogClient:
     """Blocking HTTP client for one service or supervised pool.
 
     Parameters
     ----------
     host / port:
-        The primary endpoint.
+        The endpoint.
     timeout:
         Per-attempt socket timeout (clamped to the remaining deadline).
-    replicas:
-        Further ``(host, port)`` endpoints; attempt rotation and hedged
-        reads use them.
     deadline:
         Per logical request time budget in seconds (``None``: each
         attempt is bounded by ``timeout`` alone).
     retry:
         The :class:`RetryPolicy`; only ``retryable`` errors are retried.
         ``None`` makes one attempt.
-    breaker_factory:
-        Builds one :class:`CircuitBreaker` per endpoint; ``None`` (the
-        default) disables fast-fail.
-    hedge_delay:
-        When set and a replica exists, idempotent reads fire a hedged
-        second attempt at a replica after this many seconds without a
-        primary response; first success wins.
-    accept_stale:
-        When False, responses marked ``stale=True`` raise
-        :class:`ServiceError` (503) instead of being returned — for
-        callers that must never act on degraded answers.
     clock / sleep / transport:
         Test seams: monotonic clock, sleep function, and an
         :func:`http_exchange`-shaped transport.
@@ -273,12 +163,8 @@ class CatalogClient:
         port: int = 8752,
         timeout: float = 30.0,
         *,
-        replicas: Sequence[Endpoint] = (),
         deadline: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
-        breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
-        hedge_delay: Optional[float] = None,
-        accept_stale: bool = True,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         transport: Callable[..., Tuple[int, Any]] = http_exchange,
@@ -286,64 +172,13 @@ class CatalogClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.endpoints: List[Endpoint] = [(host, port)] + [tuple(e) for e in replicas]
         self.deadline = deadline
         self.retry = retry if retry is not None else RetryPolicy(max_attempts=1)
-        self.hedge_delay = hedge_delay
-        self.accept_stale = accept_stale
         self._clock = clock
         self._sleep = sleep
         self._transport = transport
-        self._breakers: Dict[Endpoint, Optional[CircuitBreaker]] = {
-            endpoint: (breaker_factory() if breaker_factory is not None else None)
-            for endpoint in self.endpoints
-        }
 
     # -- plumbing ------------------------------------------------------
-    def breaker(self, endpoint: Endpoint) -> Optional[CircuitBreaker]:
-        return self._breakers[tuple(endpoint)]
-
-    def _attempt(
-        self,
-        endpoint: Endpoint,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        timeout: float,
-    ) -> Any:
-        """One try at one endpoint, settling its breaker either way."""
-        breaker = self._breakers[endpoint]
-        if breaker is not None and not breaker.allow():
-            raise BreakerOpen(f"{endpoint[0]}:{endpoint[1]}", breaker.open_for)
-        try:
-            status, payload = self._transport(
-                endpoint[0], endpoint[1], method, path, body, timeout
-            )
-            if status == 429:
-                raise ServiceBusy(int(payload.get("queue_limit", 0)) or 1)
-            if status != 200:
-                raise ServiceError(status, payload)
-        except ServiceError as exc:
-            if breaker is not None:
-                # Transport trouble and server-side unavailability count
-                # against the endpoint; application-level answers (404,
-                # 400, even a 500 analysis failure) prove it is serving.
-                if isinstance(exc, TransportError) or exc.status == 503:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-            raise
-        except BaseException:
-            # Any other exception must still settle the breaker: a
-            # half-open probe that never reports back would leave
-            # allow() False forever, bricking the endpoint.
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return payload
-
     def _request(
         self,
         method: str,
@@ -351,15 +186,13 @@ class CatalogClient:
         body: Optional[Dict[str, Any]] = None,
         *,
         key: Optional[Tuple] = None,
-        hedgeable: bool = False,
     ) -> Any:
-        """One logical request: attempts with rotation, backoff, deadline
-        and hedging.  ``key`` is the request's coalescing identity; the
-        backoff jitter is hashed from it (or from the path) only when a
-        retry actually waits."""
+        """One logical request: attempts with backoff under the deadline.
+        ``key`` is the request's coalescing identity; the backoff jitter
+        is hashed from it (or from the path) only when a retry actually
+        waits."""
         data = json.dumps(body).encode() if body is not None else None
         deadline_at = None if self.deadline is None else self._clock() + self.deadline
-        hedge = hedgeable and self.hedge_delay is not None and len(self.endpoints) > 1
         last_error: Optional[ServiceError] = None
         attempts = 0
         for attempt in range(1, self.retry.max_attempts + 1):
@@ -378,12 +211,16 @@ class CatalogClient:
                 if remaining <= 0:
                     break
                 timeout = max(0.001, min(timeout, remaining))
-            endpoint = self.endpoints[(attempt - 1) % len(self.endpoints)]
             attempts += 1
             try:
-                if hedge:
-                    return self._hedged(endpoint, attempt, method, path, data, timeout)
-                return self._attempt(endpoint, method, path, data, timeout)
+                status, payload = self._transport(
+                    self.host, self.port, method, path, data, timeout
+                )
+                if status == 429:
+                    raise ServiceBusy(int(payload.get("queue_limit", 0)) or 1)
+                if status != 200:
+                    raise ServiceError(status, payload)
+                return payload
             except ServiceError as exc:
                 get_tracer().incr("client.attempt_errors")
                 if not exc.retryable:
@@ -396,57 +233,9 @@ class CatalogClient:
             raise last_error
         raise DeadlineExceeded(self.deadline, attempts, last_error)
 
-    def _hedged(
-        self,
-        primary: Endpoint,
-        attempt: int,
-        *request: Any,
-    ) -> Any:
-        """Primary attempt plus a delayed replica hedge; first success
-        wins, the loser's result is discarded (idempotency makes that
-        safe)."""
-        replica = self.endpoints[attempt % len(self.endpoints)]
-        pool = ThreadPoolExecutor(max_workers=2)
-        try:
-            futures: List[Future] = [pool.submit(self._attempt, primary, *request)]
-            done, _ = wait(futures, timeout=self.hedge_delay)
-            if not done and replica != primary:
-                get_tracer().incr("client.hedged_reads")
-                futures.append(pool.submit(self._attempt, replica, *request))
-            first_error: Optional[BaseException] = None
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    error = future.exception()
-                    if error is None:
-                        return future.result()
-                    if first_error is None:
-                        first_error = error
-            assert first_error is not None
-            raise first_error
-        finally:
-            # No wait: the winner must return even while the loser is
-            # still hung on its socket (that's the whole point of the
-            # hedge).  The discarded attempt's breaker bookkeeping still
-            # runs to completion in its thread.
-            pool.shutdown(wait=False)
-
-    def _check_stale(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        if not self.accept_stale and isinstance(payload, dict) and payload.get("stale"):
-            raise ServiceError(
-                503,
-                {
-                    "error": "stale answer rejected (accept_stale=False)",
-                    "retry": True,
-                    "stale": True,
-                },
-            )
-        return payload
-
     # -- endpoints -----------------------------------------------------
     def health(self) -> Dict[str, Any]:
-        return self._request("GET", "/healthz", hedgeable=True)
+        return self._request("GET", "/healthz")
 
     def ready(self) -> bool:
         try:
@@ -465,7 +254,7 @@ class CatalogClient:
         faults: Optional[str] = None,
     ) -> Dict[str, Any]:
         """One served metric definition payload (raises on 4xx/5xx);
-        stale-marked answers pass through unless ``accept_stale=False``."""
+        stale-marked answers pass through."""
         query: Dict[str, Any] = {"seed": seed}
         if faults is not None:
             query["faults"] = faults
@@ -473,10 +262,7 @@ class CatalogClient:
             f"/v1/metric/{quote(system, safe='')}/{quote(domain, safe='')}/"
             f"{quote(metric, safe='')}?{urlencode(query)}"
         )
-        payload = self._request(
-            "GET", path, key=(system, domain, seed, faults), hedgeable=faults is None
-        )
-        return self._check_stale(payload)
+        return self._request("GET", path, key=(system, domain, seed, faults))
 
     def analyze(
         self,
@@ -489,23 +275,15 @@ class CatalogClient:
         body: Dict[str, Any] = {"system": system, "domain": domain, "seed": seed}
         if faults is not None:
             body["faults"] = faults
-        metrics = self._request(
-            "POST",
-            "/v1/analyze",
-            body,
-            key=(system, domain, seed, faults),
-            hedgeable=faults is None,
+        return self._request(
+            "POST", "/v1/analyze", body, key=(system, domain, seed, faults)
         )["metrics"]
-        if not self.accept_stale:
-            for payload in metrics.values():
-                self._check_stale(payload)
-        return metrics
 
     def catalog_list(self, arch: Optional[str] = None) -> List[Dict[str, Any]]:
         path = "/v1/catalog"
         if arch is not None:
             path += "?" + urlencode({"arch": arch})
-        return self._request("GET", path, hedgeable=True)["entries"]
+        return self._request("GET", path)["entries"]
 
     def catalog_entry(
         self,
@@ -522,4 +300,4 @@ class CatalogClient:
         path = f"/v1/catalog/{quote(arch, safe='')}/{quote(metric, safe='')}"
         if query:
             path += "?" + urlencode(query)
-        return self._request("GET", path, hedgeable=True)
+        return self._request("GET", path)

@@ -1,16 +1,27 @@
-"""The closed-loop load harness for the serving tier.
+"""The closed-loop serving drill.
 
 :func:`run_load_drill` is the executable form of the serving tier's
-*scaling* contract, the way :func:`~repro.serve.chaos.run_chaos_drill`
-is the executable form of its fault-tolerance contract.  It runs the
-same deterministic workload against a serving target and judges every
-response against the invariant:
+contract.  It runs a deterministic workload against a serving target
+and judges every response against the invariant:
 
     every answer is **bit-identical** (by
     :func:`~repro.serve.chaos.definition_digest`) to the single-process
-    baseline, a **typed rejection** (429/503, or a typed transport
-    error under saturation), or an **explicitly stale** degraded
-    answer.  Anything else is a recorded violation.
+    baseline, a **typed rejection** (a structured 429/503/504, or a
+    typed transport error), or an **explicitly stale** degraded answer.
+    Anything else is a recorded violation.
+
+A *chaos drill* is the same drill with a fault plan: ``chaos_spec``
+arms :mod:`repro.faults.chaos` in the supervised pool (worker kills,
+hangs, torn publications, socket drops, latency), and a retrying client
+drives one strictly sequential stream so the deterministic per-site
+injection streams line up run to run.  After the drive, a supervised
+drill waits for the pool to recover (:func:`await_recovery`), and a
+drill with a catalog root runs the post-mortem: ``fsck(repair=True)``,
+then every stored entry is compared with the baseline — torn
+publications must be quarantined and survivors must still match.  With
+a zero-rate spec the drill degenerates to the equivalence property:
+the supervised multi-worker path answers bit-identically to
+single-service serving.
 
 The harness borrows ELAPS's methodology: sweep a workload parameter
 (offered requests per second), measure latency percentiles at each
@@ -36,17 +47,20 @@ observable: one client computes, the riders wait, and the worker's
 from __future__ import annotations
 
 import asyncio
+import functools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.io.digest import sha256_hex
 from repro.obs import get_tracer
-from repro.serve.chaos import _baseline_digests, definition_digest
-from repro.serve.client import CatalogClient
+from repro.serve.catalog import FsckReport
+from repro.serve.chaos import Baseline, baseline_digests, definition_digest
+from repro.serve.client import CatalogClient, RetryPolicy
 from repro.serve.service import MetricService, ServiceError, TransportError
+from repro.serve.shard import open_catalog
 from repro.serve.supervisor import (
     ServiceSupervisor,
     SupervisorConfig,
@@ -57,11 +71,17 @@ __all__ = [
     "LoadReport",
     "LoadStep",
     "LoadStepReport",
+    "RECOVERY_BUDGET",
     "RequestSpec",
     "Workload",
+    "await_recovery",
     "latency_percentile",
     "run_load_drill",
 ]
+
+#: Seconds a supervised pool gets to bring every worker slot back live
+#: after the drive.
+RECOVERY_BUDGET = 60.0
 
 
 @dataclass(frozen=True)
@@ -104,10 +124,7 @@ class Workload:
     ``hot_fraction`` of each stream (after the rendezvous request) is
     single-metric ``GET`` reads against the rendezvous seed — catalog
     hits once the first analysis publishes — and the rest are domain
-    analyses over ``seed_pool`` distinct seeds.  With ``unique_seeds``
-    every request is instead a globally unique fresh analysis, which
-    makes the workload pipeline-bound: the right population for
-    comparing multi-process against single-process throughput.
+    analyses over ``seed_pool`` distinct seeds.
     """
 
     pairs: Sequence[Tuple[str, str]] = (("aurora", "branch"),)
@@ -116,7 +133,6 @@ class Workload:
     base_seed: int = 2024
     seed_pool: int = 2
     hot_fraction: float = 0.6
-    unique_seeds: bool = False
 
     def __post_init__(self) -> None:
         if not self.pairs:
@@ -131,28 +147,12 @@ class Workload:
     def universe(self) -> List[Tuple[str, str, int]]:
         """Every ``(system, domain, seed)`` analysis any stream can
         request — the baseline precomputes ground truth for all of it."""
-        keys: List[Tuple[str, str, int]] = []
-        if self.unique_seeds:
-            for client in range(self.clients):
-                for i in range(self.requests_per_client):
-                    system, domain = self.pairs[
-                        (client * self.requests_per_client + i) % len(self.pairs)
-                    ]
-                    keys.append((system, domain, self._unique_seed(client, i)))
-        else:
-            for system, domain in self.pairs:
-                for offset in range(self.seed_pool):
-                    keys.append((system, domain, self.base_seed + offset))
-        seen = set()
-        unique = []
-        for key in keys:
-            if key not in seen:
-                seen.add(key)
-                unique.append(key)
-        return unique
-
-    def _unique_seed(self, client: int, i: int) -> int:
-        return self.base_seed + client * self.requests_per_client + i
+        keys = [
+            (system, domain, self.base_seed + offset)
+            for system, domain in self.pairs
+            for offset in range(self.seed_pool)
+        ]
+        return list(dict.fromkeys(keys))
 
     def _rng(self, client: int) -> random.Random:
         return random.Random(
@@ -164,17 +164,6 @@ class Workload:
     ) -> List[RequestSpec]:
         """Client ``client``'s full request stream — a pure function of
         the workload parameters, so drills replay bit-identically."""
-        if self.unique_seeds:
-            return [
-                RequestSpec(
-                    "analyze",
-                    *self.pairs[
-                        (client * self.requests_per_client + i) % len(self.pairs)
-                    ],
-                    seed=self._unique_seed(client, i),
-                )
-                for i in range(self.requests_per_client)
-            ]
         rng = self._rng(client)
         stream = [
             RequestSpec("analyze", *self.pairs[0], seed=self.base_seed)
@@ -271,7 +260,13 @@ class LoadStepReport:
 
 @dataclass
 class LoadReport:
-    """One full drill: per-step reports plus pool-wide evidence."""
+    """One full drill: per-step reports plus pool-wide evidence.
+
+    ``recovered`` is None when no supervisor ran; ``fsck`` is None when
+    the drill had no catalog root.  ``catalog_violations`` are the
+    post-mortem's findings: stored entries that are unloadable or differ
+    from the baseline after ``fsck``.
+    """
 
     target: str
     workload: Workload
@@ -279,20 +274,37 @@ class LoadReport:
     coalesced: int = 0
     catalog_hits: int = 0
     supervisor_status: Optional[Dict[str, Any]] = None
+    recovered: Optional[bool] = None
+    recovery_seconds: Optional[float] = None
+    fsck: Optional[FsckReport] = None
+    catalog_violations: List[str] = field(default_factory=list)
 
     @property
     def requests(self) -> int:
         return sum(s.requests for s in self.steps)
 
     @property
+    def identical(self) -> int:
+        return sum(s.identical for s in self.steps)
+
+    @property
+    def stale(self) -> int:
+        return sum(s.stale for s in self.steps)
+
+    @property
+    def rejected(self) -> int:
+        return sum(s.rejected for s in self.steps)
+
+    @property
     def violations(self) -> List[str]:
-        return [v for s in self.steps for v in s.violations]
+        return [v for s in self.steps for v in s.violations] + self.catalog_violations
 
     @property
     def ok(self) -> bool:
-        """The invariant held at every step: every response identical,
-        explicitly stale, or a typed rejection."""
-        return not self.violations
+        """The invariant held: every response identical, explicitly
+        stale, or a typed rejection, the catalog survived its fsck, and
+        a supervised pool recovered."""
+        return not self.violations and self.recovered is not False
 
     def summary(self) -> str:
         lines = [
@@ -308,18 +320,28 @@ class LoadReport:
                 f"{s.rejected} rejected; p50/p95/p99 = "
                 f"{s.p50_ms:.0f}/{s.p95_ms:.0f}/{s.p99_ms:.0f} ms"
             )
+        if self.recovered is not None:
+            lines.append(
+                f"  recovered={self.recovered}"
+                + (
+                    f" in {self.recovery_seconds:.1f}s"
+                    if self.recovery_seconds is not None
+                    else ""
+                )
+            )
+        if self.fsck is not None:
+            lines.append(f"  {self.fsck.summary()}")
         return "\n".join(lines)
 
 
 def _drive_client(
-    port: int,
+    connect: Callable[[], CatalogClient],
     stream: Sequence[RequestSpec],
     *,
     mode: str,
     start_at: float,
     period: float,
     offset: float,
-    timeout: float,
 ) -> List[Tuple[RequestSpec, str, Any, float]]:
     """One client's blocking drive loop (runs on an executor thread).
 
@@ -327,7 +349,7 @@ def _drive_client(
     classification happens on the main thread so counter increments and
     report mutation stay single-threaded.
     """
-    client = CatalogClient(port=port, timeout=timeout)
+    client = connect()
     rows: List[Tuple[RequestSpec, str, Any, float]] = []
     for i, spec in enumerate(stream):
         if mode == "open":
@@ -411,12 +433,10 @@ def _classify(
 
 
 async def _run_step(
-    port: int,
+    connect: Callable[[], CatalogClient],
     step: LoadStep,
     streams: Sequence[Sequence[RequestSpec]],
     baseline: Dict[Tuple[str, str, int], Dict[str, str]],
-    *,
-    timeout: float,
 ) -> LoadStepReport:
     report = LoadStepReport(step=step)
     loop = asyncio.get_running_loop()
@@ -435,7 +455,7 @@ async def _run_step(
             loop.run_in_executor(
                 pool,
                 lambda c=client, s=stream: _drive_client(
-                    port,
+                    connect,
                     s,
                     mode=step.mode,
                     start_at=start_at,
@@ -443,7 +463,6 @@ async def _run_step(
                     offset=(c * period / max(1, len(streams)))
                     if step.mode == "open"
                     else 0.0,
-                    timeout=timeout,
                 ),
             )
             for client, stream in enumerate(streams)
@@ -460,7 +479,6 @@ async def _run_step(
 
 
 def _pool_stats(
-    target: str,
     port: int,
     supervisor: Optional[ServiceSupervisor],
     timeout: float,
@@ -489,6 +507,61 @@ def _pool_stats(
     return coalesced, catalog_hits
 
 
+async def await_recovery(
+    status: Callable[[], Dict[str, Any]], budget: float = RECOVERY_BUDGET
+) -> Optional[float]:
+    """Seconds until every worker slot of ``status()`` is live, or None.
+
+    None means the budget ran out, or some slot is ``failed``: the
+    supervisor never restarts a failed slot, so waiting longer cannot
+    bring the pool back to full strength.
+    """
+    start = time.monotonic()
+    while True:
+        current = status()
+        if any(w["state"] == "failed" for w in current["workers"]):
+            return None
+        if current["live"] == len(current["workers"]):
+            return time.monotonic() - start
+        if time.monotonic() - start >= budget:
+            return None
+        await asyncio.sleep(0.2)
+
+
+def _post_mortem(
+    catalog_root: str, entry_digests: Dict[Tuple[str, str, str, int], str]
+) -> Tuple[FsckReport, List[str]]:
+    """Repair the drill's catalog, then compare every stored entry with
+    the baseline.  Returns the fsck report and the violations found."""
+    # The root may be sharded, so open it by inspection.
+    store = open_catalog(catalog_root)
+    fsck = store.fsck(repair=True)
+    violations: List[str] = []
+    for row in store.list_entries():
+        entry = store.get(
+            row["arch"], row["metric"], row["config_digest"],
+            version=row["latest_version"],
+        )
+        if entry is None:
+            violations.append(
+                f"catalog entry {row['metric']!r} v{row['latest_version']} "
+                "listed but unloadable after fsck"
+            )
+            continue
+        want = entry_digests.get(
+            (entry.arch, entry.domain, entry.metric, entry.seed)
+        )
+        if want is None:
+            continue  # a seed the baseline did not cover
+        got = definition_digest(entry.to_payload())
+        if got != want:
+            violations.append(
+                f"stored entry {entry.metric!r} v{entry.version} digest "
+                f"{got} != baseline {want}: corruption survived fsck"
+            )
+    return fsck, violations
+
+
 def run_load_drill(
     catalog_root: Optional[str] = None,
     *,
@@ -500,7 +573,8 @@ def run_load_drill(
     cache_dir: Optional[str] = None,
     config: Optional[SupervisorConfig] = None,
     client_timeout: float = 60.0,
-    baseline: Optional[Dict[Tuple[str, str, int], Dict[str, str]]] = None,
+    baseline: Optional[Baseline] = None,
+    chaos_spec: Optional[str] = None,
 ) -> LoadReport:
     """Drive the workload through a serving target, step by step.
 
@@ -511,25 +585,37 @@ def run_load_drill(
     :class:`~repro.serve.http.HttpMetricServer` — the baseline the
     sharded tier's throughput is judged against.
 
+    ``chaos_spec`` (sharded only) is the fault plan the pool runs
+    under.  Without an explicit ``config`` it also selects the chaos
+    supervisor timings (a 1.5 s heartbeat detects an injected hang), and
+    the client retries with backoff under a 120 s deadline instead of
+    making one attempt.  For a reproducible fault sequence use one
+    client (``Workload(clients=1, hot_fraction=0.0)``).
+
     Ground truth is computed first (one plain service answers the whole
-    workload universe), or passed in via ``baseline`` so a benchmark
-    can amortise it across drills.  Returns a :class:`LoadReport`;
-    ``report.ok`` is the invariant verdict.
+    workload universe), or passed in via ``baseline`` — the return value
+    of :func:`~repro.serve.chaos.baseline_digests` — so a benchmark can
+    amortise it across drills.  Returns a :class:`LoadReport`;
+    ``report.ok`` is the invariant verdict.  ``catalog_root`` must be a
+    fresh or disposable directory.
     """
     if target not in ("sharded", "single"):
         raise ValueError(f"target must be sharded|single, not {target!r}")
     if target == "sharded" and catalog_root is None:
         raise ValueError("the sharded target needs a catalog_root")
+    if target == "single" and chaos_spec is not None:
+        raise ValueError("a chaos_spec needs the sharded target")
     workload = workload or Workload()
     if not steps:
         raise ValueError("run_load_drill needs at least one LoadStep")
     universe = workload.universe()
     if baseline is None:
-        baseline, _ = asyncio.run(_baseline_digests(universe, cache_dir))
+        baseline = baseline_digests(universe, cache_dir)
+    digests, entry_digests = baseline
     metric_names = {}
     for system, domain, seed in universe:
         metric_names.setdefault(
-            (system, domain), sorted(baseline[(system, domain, seed)])
+            (system, domain), sorted(digests[(system, domain, seed)])
         )
     streams = [
         workload.client_stream(i, metric_names) for i in range(workload.clients)
@@ -538,21 +624,41 @@ def run_load_drill(
 
     async def drive() -> None:
         supervisor: Optional[ServiceSupervisor] = None
+        client_options: Dict[str, Any] = {"timeout": client_timeout}
         if target == "sharded":
-            supervisor_config = config or SupervisorConfig(
-                workers=workers,
-                shards=shards,
-                heartbeat_timeout=5.0,
-                stale_max_age=3600.0,
-            )
+            if chaos_spec is None:
+                supervisor_config = config or SupervisorConfig(
+                    workers=workers,
+                    shards=shards,
+                    heartbeat_timeout=5.0,
+                    stale_max_age=3600.0,
+                )
+            else:
+                supervisor_config = config or SupervisorConfig(
+                    workers=workers,
+                    shards=shards,
+                    heartbeat_timeout=1.5,
+                    backoff_base=0.1,
+                    backoff_max=1.0,
+                    restart_intensity=10,
+                    stale_max_age=3600.0,
+                )
+                client_options.update(
+                    retry=RetryPolicy(
+                        max_attempts=6, backoff_base=0.05, backoff_cap=0.5
+                    ),
+                    deadline=120.0,
+                )
             supervisor = ServiceSupervisor(
-                catalog_root, cache_dir=cache_dir, config=supervisor_config
+                catalog_root,
+                cache_dir=cache_dir,
+                config=supervisor_config,
+                chaos_spec=chaos_spec,
             )
             front = SupervisorServer(supervisor)
             port = await front.start()
         else:
             from repro.serve.http import HttpMetricServer
-            from repro.serve.shard import open_catalog
 
             store = None
             if catalog_root is not None:
@@ -562,21 +668,26 @@ def run_load_drill(
             )
             front = HttpMetricServer(service, port=0)
             port = await front.start()
+        connect = functools.partial(CatalogClient, port=port, **client_options)
         try:
             for step in steps:
                 report.steps.append(
-                    await _run_step(
-                        port, step, streams, baseline, timeout=client_timeout
-                    )
+                    await _run_step(connect, step, streams, digests)
                 )
             loop = asyncio.get_running_loop()
             report.coalesced, report.catalog_hits = await loop.run_in_executor(
-                None, lambda: _pool_stats(target, port, supervisor, client_timeout)
+                None, lambda: _pool_stats(port, supervisor, client_timeout)
             )
             if supervisor is not None:
+                report.recovery_seconds = await await_recovery(supervisor.status)
+                report.recovered = report.recovery_seconds is not None
                 report.supervisor_status = supervisor.status()
         finally:
             await front.stop()
 
     asyncio.run(drive())
+    if catalog_root is not None:
+        report.fsck, report.catalog_violations = _post_mortem(
+            catalog_root, entry_digests
+        )
     return report

@@ -26,7 +26,7 @@ from repro.serve import (
     run_load_drill,
 )
 from repro.serve.chaos import definition_digest
-from repro.serve.load import LoadStepReport, RequestSpec, _classify
+from repro.serve.load import LoadStepReport, RequestSpec, _classify, await_recovery
 from repro.serve.service import ServiceBusy, ServiceError, TransportError
 
 
@@ -53,16 +53,6 @@ class TestWorkload:
         for client in range(workload.clients):
             for spec in workload.client_stream(client, names):
                 assert (spec.system, spec.domain, spec.seed) in universe
-
-    def test_unique_seeds_never_repeat_an_analysis(self):
-        workload = Workload(clients=3, requests_per_client=4, unique_seeds=True)
-        seeds = [
-            spec.seed
-            for client in range(3)
-            for spec in workload.client_stream(client, {})
-        ]
-        assert len(seeds) == len(set(seeds)) == 12
-        assert len(workload.universe()) == 12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -166,8 +156,16 @@ class TestClassification:
         _classify(
             report, self._spec(), "error", ServiceError(500, {"oops": 1}), {}
         )
+        # A structured 500 is still a failed analysis, not backpressure.
+        _classify(
+            report,
+            self._spec(),
+            "error",
+            ServiceError(500, {"error": "analysis failed"}),
+            {},
+        )
         assert report.rejected == 0
-        assert len(report.violations) == 2
+        assert len(report.violations) == 3
 
 
 class TestRunLoadDrillValidation:
@@ -178,6 +176,45 @@ class TestRunLoadDrillValidation:
             run_load_drill(target="sharded")
         with pytest.raises(ValueError, match="LoadStep"):
             run_load_drill(target="single", steps=())
+        with pytest.raises(ValueError, match="chaos_spec"):
+            run_load_drill(target="single", chaos_spec="seed=1")
+
+
+def _status(*states):
+    return {
+        "workers": [{"state": state} for state in states],
+        "live": sum(state == "live" for state in states),
+    }
+
+
+class TestAwaitRecovery:
+    def test_full_pool_recovers_at_once(self):
+        seconds = asyncio.run(await_recovery(lambda: _status("live", "live")))
+        assert seconds is not None and seconds < 1.0
+
+    def test_waits_for_a_restarting_slot(self):
+        states = iter([("live", "backoff"), ("live", "starting")])
+        seconds = asyncio.run(
+            await_recovery(lambda: _status(*next(states, ("live", "live"))))
+        )
+        assert seconds is not None and seconds >= 0.3
+
+    def test_failed_slot_gives_up_without_spending_the_budget(self):
+        calls = []
+
+        def status():
+            calls.append(1)
+            return _status("failed", "live")
+
+        began = time.monotonic()
+        assert asyncio.run(await_recovery(status, budget=30.0)) is None
+        assert time.monotonic() - began < 1.0
+        assert len(calls) == 1
+
+    def test_budget_bounds_a_pool_that_is_still_restarting(self):
+        assert asyncio.run(
+            await_recovery(lambda: _status("live", "backoff"), budget=0.3)
+        ) is None
 
 
 class TestSingleTierDrill:

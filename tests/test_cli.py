@@ -47,6 +47,11 @@ class TestExitCodes:
             exit_code(["sweep", "--systems", "aurora", "--domains", "branch",
                        "--faults", "bogus~"]) == 2
         )
+        assert (
+            exit_code(["loadtest", "--catalog", "unused", "--chaos", "bogus=1"])
+            == 2
+        )
+        assert exit_code(["loadtest", "--target", "single", "--chaos", "seed=1"]) == 2
 
     def test_empty_grid_is_two(self, capsys):
         # gpu_flops is not measurable on aurora: nothing to sweep.
