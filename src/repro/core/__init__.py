@@ -51,12 +51,8 @@ from repro.core.validation import (
 from repro.core.thresholds import (
     AlphaSelection,
     TauSelection,
-    coefficient_of_variation,
-    mad_variability,
-    max_relative_range,
     select_alpha,
     select_tau,
-    variability_measures,
 )
 from repro.core.signatures import (
     Signature,
@@ -73,9 +69,6 @@ __all__ = [
     "AnalysisPipeline",
     "BRANCH_EXPECTATION_MATRIX",
     "TauSelection",
-    "coefficient_of_variation",
-    "mad_variability",
-    "max_relative_range",
     "MetricValidation",
     "DerivationReport",
     "StabilityReport",
@@ -92,7 +85,6 @@ __all__ = [
     "render_report",
     "select_alpha",
     "select_tau",
-    "variability_measures",
     "write_report",
     "ExpectationBasis",
     "MetricDefinition",

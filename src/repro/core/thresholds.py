@@ -1,20 +1,9 @@
-"""Automatic threshold selection and alternative noise measures.
+"""Automatic threshold selection.
 
 The paper's Section VII names its future work: "methods to develop
 different measures to quantify event noise and more rigorously select
 noise suppression thresholds and pivoting criteria."  This module
-implements that program:
-
-* **Alternative variability measures** alongside max-RNMSE (Equation 4):
-
-  - :func:`max_relative_range` — worst-case per-row spread relative to the
-    per-row mean; more sensitive to single-row glitches than the
-    norm-based RNMSE.
-  - :func:`coefficient_of_variation` — the classic std/mean aggregated
-    over rows; smooth, but underweights rare spikes.
-  - :func:`mad_variability` — a median-absolute-deviation measure that is
-    robust to one corrupted repetition (an SMI landing in one run), where
-    max-RNMSE saturates.
+implements the threshold half of that program:
 
 * **Automatic tau selection** (:func:`select_tau`) — finds the widest gap
   in the sorted log-variability sequence (the paper picks tau by eyeballing
@@ -33,7 +22,7 @@ implements that program:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,89 +32,9 @@ from repro.core.rounding import score_columns
 __all__ = [
     "AlphaSelection",
     "TauSelection",
-    "coefficient_of_variation",
-    "mad_variability",
-    "max_relative_range",
     "select_alpha",
     "select_tau",
-    "variability_measures",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Alternative variability measures
-# ---------------------------------------------------------------------------
-
-def _validate(vectors: np.ndarray) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] < 2:
-        raise ValueError(
-            f"need a (repetitions >= 2, rows) array, got shape {vectors.shape}"
-        )
-    return vectors
-
-
-def max_relative_range(vectors: np.ndarray) -> float:
-    """Worst per-row spread relative to the per-row mean.
-
-    ``max_r (max_i m_ir - min_i m_ir) / |mean_i m_ir|``; rows whose mean is
-    zero but whose spread is not score 1 (mirroring Equation 4's
-    degenerate-pair rule); rows identically zero contribute 0.
-    """
-    vectors = _validate(vectors)
-    spread = vectors.max(axis=0) - vectors.min(axis=0)
-    means = np.abs(vectors.mean(axis=0))
-    out = np.zeros_like(spread)
-    live = means > 0.0
-    out[live] = spread[live] / means[live]
-    out[(~live) & (spread > 0.0)] = 1.0
-    return float(out.max()) if out.size else 0.0
-
-
-def coefficient_of_variation(vectors: np.ndarray) -> float:
-    """Root-mean aggregated per-row coefficient of variation.
-
-    ``sqrt(mean_r (std_i m_ir / mean_i m_ir)^2)`` over rows with nonzero
-    mean; degenerate rows handled as in :func:`max_relative_range`.
-    """
-    vectors = _validate(vectors)
-    stds = vectors.std(axis=0)
-    means = np.abs(vectors.mean(axis=0))
-    cv_sq = np.zeros_like(stds)
-    live = means > 0.0
-    cv_sq[live] = (stds[live] / means[live]) ** 2
-    cv_sq[(~live) & (stds > 0.0)] = 1.0
-    return float(np.sqrt(cv_sq.mean())) if cv_sq.size else 0.0
-
-
-def mad_variability(vectors: np.ndarray) -> float:
-    """Median-absolute-deviation variability, robust to one bad repetition.
-
-    Per row, the MAD of the repetitions around their median, normalized by
-    the |median|; the measure is the maximum over rows.  A single corrupted
-    repetition (which drives max-RNMSE to its spread) leaves the per-row
-    median and MAD nearly unchanged.
-    """
-    vectors = _validate(vectors)
-    med = np.median(vectors, axis=0)
-    mad = np.median(np.abs(vectors - med[None, :]), axis=0)
-    out = np.zeros_like(mad)
-    live = np.abs(med) > 0.0
-    out[live] = mad[live] / np.abs(med[live])
-    out[(~live) & (mad > 0.0)] = 1.0
-    return float(out.max()) if out.size else 0.0
-
-
-#: Registry of measures by name (max-RNMSE lives in noise_filter).
-def variability_measures() -> Dict[str, Callable[[np.ndarray], float]]:
-    from repro.core.noise_filter import max_rnmse
-
-    return {
-        "max_rnmse": max_rnmse,
-        "max_relative_range": max_relative_range,
-        "coefficient_of_variation": coefficient_of_variation,
-        "mad": mad_variability,
-    }
 
 
 # ---------------------------------------------------------------------------

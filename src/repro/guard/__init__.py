@@ -35,14 +35,9 @@ from repro.guard.smoke import SmokeOutcome, forge_near_duplicates, run_smoke
 from repro.guard.validate import (
     ValidationError,
     require_finite,
-    require_fraction,
-    require_in,
     require_int,
-    require_matrix,
-    require_monotone,
     require_nonempty,
     require_positive,
-    require_vector,
 )
 
 __all__ = [
@@ -57,14 +52,9 @@ __all__ = [
     "estimate_condition",
     "forge_near_duplicates",
     "require_finite",
-    "require_fraction",
-    "require_in",
     "require_int",
-    "require_matrix",
-    "require_monotone",
     "require_nonempty",
     "require_positive",
-    "require_vector",
     "run_smoke",
     "triangular_health",
 ]

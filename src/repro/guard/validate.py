@@ -16,21 +16,16 @@ catch the subclass.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "ValidationError",
     "require_finite",
-    "require_fraction",
-    "require_in",
     "require_int",
-    "require_matrix",
-    "require_monotone",
     "require_nonempty",
     "require_positive",
-    "require_vector",
 ]
 
 
@@ -68,55 +63,6 @@ def require_finite(
     return array
 
 
-def require_matrix(
-    array,
-    name: str,
-    context: str = "",
-    min_rows: int = 0,
-    min_cols: int = 0,
-    finite: bool = True,
-) -> np.ndarray:
-    """Coerce to a float64 2-D array; reject anything else with the reason."""
-    try:
-        array = np.asarray(array, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        _fail(context, f"{name} is not numeric ({exc})")
-    if array.ndim != 2:
-        _fail(
-            context,
-            f"{name} must be a 2-D matrix, got shape {array.shape}",
-        )
-    rows, cols = array.shape
-    if rows < min_rows:
-        _fail(context, f"{name} needs at least {min_rows} row(s), got {rows}")
-    if cols < min_cols:
-        _fail(
-            context, f"{name} needs at least {min_cols} column(s), got {cols}"
-        )
-    if finite:
-        require_finite(array, name, context)
-    return array
-
-
-def require_vector(
-    array, name: str, context: str = "", length: Optional[int] = None
-) -> np.ndarray:
-    """Coerce to a float64 1-D array of an optional exact length."""
-    try:
-        array = np.asarray(array, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        _fail(context, f"{name} is not numeric ({exc})")
-    if array.ndim != 1:
-        _fail(context, f"{name} must be a 1-D vector, got shape {array.shape}")
-    if length is not None and array.shape[0] != length:
-        _fail(
-            context,
-            f"{name} must have length {length}, got {array.shape[0]}",
-        )
-    require_finite(array, name, context)
-    return array
-
-
 def require_positive(value, name: str, context: str = "") -> float:
     """A finite, strictly positive scalar (thresholds, tolerances)."""
     try:
@@ -143,47 +89,8 @@ def require_int(
     return value
 
 
-def require_fraction(value, name: str, context: str = "") -> float:
-    """A scalar in ``(0, 1]`` (quorums, rates-as-fractions)."""
-    value = require_positive(value, name, context)
-    if value > 1.0:
-        _fail(context, f"{name} must be in (0, 1], got {value!r}")
-    return value
-
-
 def require_nonempty(seq: Sequence, name: str, context: str = "") -> Sequence:
     """A sequence with at least one element (event lists, seed lists)."""
     if len(seq) == 0:
         _fail(context, f"{name} must not be empty")
     return seq
-
-
-def require_monotone(
-    values: Iterable, name: str, context: str = "", strict: bool = True
-) -> np.ndarray:
-    """A strictly (or weakly) increasing numeric sequence (loop/footprint
-    sweeps), naming the first inversion."""
-    arr = require_vector(list(values), name, context)
-    require_nonempty(arr, name, context)
-    diffs = np.diff(arr)
-    bad = diffs <= 0 if strict else diffs < 0
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        kind = "strictly increasing" if strict else "non-decreasing"
-        _fail(
-            context,
-            f"{name} must be {kind}; entry {i + 1} ({arr[i + 1]:g}) does "
-            f"not follow {arr[i]:g}",
-        )
-    return arr
-
-
-def require_in(value, allowed: Sequence, name: str, context: str = ""):
-    """Membership in a closed vocabulary, listing the alternatives."""
-    if value not in allowed:
-        _fail(
-            context,
-            f"{name} must be one of {sorted(str(a) for a in allowed)}, "
-            f"got {value!r}",
-        )
-    return value

@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover — type-checker-only eager imports
         durable_replace,
         durable_write,
         fsync_dir,
-        fsync_file,
     )
     from repro.io.store import (
         load_measurements,
@@ -49,7 +48,6 @@ _EXPORTS = {
     "durable_replace": "repro.io.durability",
     "durable_write": "repro.io.durability",
     "fsync_dir": "repro.io.durability",
-    "fsync_file": "repro.io.durability",
     "file_digest": "repro.io.digest",
     "json_digest": "repro.io.digest",
     "sha256_hex": "repro.io.digest",

@@ -30,19 +30,9 @@ __all__ = [
     "durable_replace",
     "durable_write",
     "fsync_dir",
-    "fsync_file",
 ]
 
 _PathLike = Union[str, Path]
-
-
-def fsync_file(path: _PathLike) -> None:
-    """Flush one file's contents to stable storage."""
-    fd = os.open(os.fspath(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def fsync_dir(path: _PathLike) -> None:

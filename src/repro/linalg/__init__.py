@@ -15,14 +15,10 @@ The public surface:
   construction and blocked application.
 * :class:`repro.linalg.householder.HouseholderQR` — incremental QR with
   explicit per-column updates (the form both QRCP algorithms consume).
-* :func:`repro.linalg.triangular.solve_upper` /
-  :func:`repro.linalg.triangular.solve_lower` — substitution solvers.
+* :func:`repro.linalg.triangular.solve_upper` — back substitution.
 * :func:`repro.linalg.lstsq.lstsq_qr` — least squares via our QR;
   :class:`repro.linalg.lstsq.LstsqFactor` — one factorization solved
   against many right-hand sides.
-* :class:`repro.linalg.updates.UpdatableQR` — rank-one column
-  insert/delete/replace updates of a QR with guard-certified solves
-  (the ``repro.incr`` fast path).
 * :func:`repro.linalg.norms.backward_error` — the paper's Equation 5
   fitness measure.
 """
@@ -31,27 +27,20 @@ from repro.linalg.householder import (
     HouseholderQR,
     apply_householder,
     householder_vector,
-    qr_decompose,
 )
 from repro.linalg.lstsq import LstsqFactor, LstsqResult, default_rcond, lstsq_qr
-from repro.linalg.norms import backward_error, frobenius_norm, spectral_norm
-from repro.linalg.triangular import solve_lower, solve_upper
-from repro.linalg.updates import UpdatableQR, givens_rotation
+from repro.linalg.norms import backward_error, spectral_norm
+from repro.linalg.triangular import solve_upper
 
 __all__ = [
     "HouseholderQR",
     "LstsqFactor",
     "LstsqResult",
-    "UpdatableQR",
-    "givens_rotation",
     "apply_householder",
     "backward_error",
     "default_rcond",
-    "frobenius_norm",
     "householder_vector",
     "lstsq_qr",
-    "qr_decompose",
-    "solve_lower",
     "solve_upper",
     "spectral_norm",
 ]

@@ -5,8 +5,7 @@ internals: after each pivot selection they swap a column into place, compute
 a single Householder reflector, and apply it to the *trailing* columns
 ("Update A using column pivot" in the paper's Algorithm 1/2 listings).  The
 :class:`HouseholderQR` class provides exactly that incremental interface;
-:func:`qr_decompose` wraps it into a conventional one-shot factorization used
-by the least-squares solver and the tests.
+the least-squares solver steps it to completion.
 
 All reflector applications are vectorized rank-1 updates
 (``A -= beta * v @ (v.T @ A)``); there are no elementwise Python loops.
@@ -25,7 +24,6 @@ __all__ = [
     "HouseholderQR",
     "apply_householder",
     "householder_vector",
-    "qr_decompose",
 ]
 
 
@@ -71,12 +69,8 @@ def apply_householder(a: np.ndarray, v: np.ndarray, beta: float) -> None:
     """
     if beta == 0.0:
         return
-    _reflect_block(a if a.ndim == 2 else a.reshape(-1, 1), v, beta * v)
-
-
-def _reflect_block(a_mat: np.ndarray, v: np.ndarray, bv: np.ndarray) -> None:
-    """``a_mat -= (beta v) (v^T a_mat)`` in place, given ``bv = beta * v``."""
-    a_mat -= np.outer(bv, v @ a_mat)
+    a_mat = a if a.ndim == 2 else a.reshape(-1, 1)
+    a_mat -= np.outer(beta * v, v @ a_mat)
 
 
 class HouseholderQR:
@@ -166,33 +160,3 @@ class HouseholderQR:
             tail = y[k:]
             tail -= bv * np.dot(v, tail)
         return y
-
-
-def qr_decompose(
-    a: np.ndarray, economy: bool = True
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One-shot QR factorization ``A = Q R`` built on :class:`HouseholderQR`.
-
-    Parameters
-    ----------
-    a:
-        An ``(m, n)`` matrix with ``m >= n`` (tall or square).
-    economy:
-        If true (default) return the thin factors ``Q (m, n)``, ``R (n, n)``;
-        otherwise the full ``Q (m, m)``, ``R (m, n)``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    m, n = a.shape
-    if m < n:
-        raise ValueError(f"qr_decompose requires m >= n, got shape {a.shape}")
-    fact = HouseholderQR(a)
-    for _ in range(n):
-        fact.step()
-    # Form Q by applying the reflectors to the identity: Q = H_1 ... H_n I.
-    q_cols = n if economy else m
-    q = np.eye(m, q_cols)
-    for k, v, bv in reversed(fact._reflectors):
-        _reflect_block(q[k:, :], v, bv)
-    r_full = np.triu(fact.a)
-    r = r_full[:n, :n] if economy else r_full
-    return q, r

@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "backward_error",
-    "column_norms",
-    "frobenius_norm",
     "spectral_norm",
     "vector_norm",
 ]
@@ -25,23 +23,6 @@ def vector_norm(x: np.ndarray) -> float:
     """Euclidean norm of a vector, as a Python float."""
     x = np.asarray(x, dtype=np.float64)
     return float(np.sqrt(np.dot(x.ravel(), x.ravel())))
-
-
-def column_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norms of each column of a 2-D array.
-
-    Computed as a single vectorized reduction; no per-column Python loop.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    return np.sqrt(np.einsum("ij,ij->j", a, a))
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm of a matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.einsum("ij,ij->", a, a)))
 
 
 def spectral_norm(a: np.ndarray) -> float:

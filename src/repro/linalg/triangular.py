@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["solve_lower", "solve_upper"]
+__all__ = ["solve_upper"]
 
 _SINGULAR_MSG = "triangular matrix is singular (zero diagonal at index {idx})"
 
@@ -47,22 +47,3 @@ def solve_upper(r: np.ndarray, b: np.ndarray, tol: float = 0.0) -> np.ndarray:
             x[i] -= r[i, i + 1 :] @ x[i + 1 :]
         x[i] /= diag
     return x
-
-
-def solve_lower(l: np.ndarray, b: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Solve ``L x = b`` for lower-triangular ``L`` by forward substitution."""
-    l = np.asarray(l, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    n = l.shape[0]
-    if l.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {l.shape}")
-    vec_input = b.ndim == 1
-    x = np.array(b, dtype=np.float64, copy=True).reshape(n, -1)
-    for i in range(n):
-        diag = l[i, i]
-        if abs(diag) <= tol:
-            raise np.linalg.LinAlgError(_SINGULAR_MSG.format(idx=i))
-        if i > 0:
-            x[i, :] -= l[i, :i] @ x[:i, :]
-        x[i, :] /= diag
-    return x.ravel() if vec_input else x

@@ -1,6 +1,6 @@
 """PAPI-like middleware: components, event sets, and preset metrics."""
 
-from repro.papi.component import Component, ComponentTable
+from repro.papi.component import Component
 from repro.papi.eventset import EventSet, EventSetState, PAPIError
 from repro.papi.highlevel import HighLevelMonitor, RegionReading
 from repro.papi.presets import PAPI_PRESET_NAMES, PresetMetric, PresetTable
@@ -9,7 +9,6 @@ __all__ = [
     "Component",
     "HighLevelMonitor",
     "RegionReading",
-    "ComponentTable",
     "EventSet",
     "EventSetState",
     "PAPIError",

@@ -9,12 +9,12 @@ needs to service event sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.events.registry import EventRegistry
 
-__all__ = ["Component", "ComponentTable"]
+__all__ = ["Component"]
 
 
 @dataclass
@@ -34,38 +34,3 @@ class Component:
         if prefix is not None:
             names = [n for n in names if n.startswith(prefix)]
         return names
-
-
-class ComponentTable:
-    """The set of components visible on a node."""
-
-    def __init__(self, components: Iterable[Component] = ()):
-        self._components: Dict[str, Component] = {}
-        for component in components:
-            self.register(component)
-
-    def register(self, component: Component) -> None:
-        if component.name in self._components:
-            raise ValueError(f"component {component.name!r} already registered")
-        self._components[component.name] = component
-
-    def get(self, name: str) -> Component:
-        try:
-            return self._components[name]
-        except KeyError:
-            raise KeyError(
-                f"component {name!r} not found; available: {sorted(self._components)}"
-            ) from None
-
-    def resolve_event(self, full_name: str) -> Component:
-        """Find the component exposing an event (PAPI name resolution)."""
-        for component in self._components.values():
-            if full_name in component:
-                return component
-        raise KeyError(f"event {full_name!r} not exposed by any component")
-
-    def __iter__(self):
-        return iter(self._components.values())
-
-    def __len__(self) -> int:
-        return len(self._components)

@@ -1,82 +1,12 @@
-"""Tests for alternative noise measures and automatic threshold selection
-(the paper's Section-VII future work, implemented)."""
+"""Tests for automatic threshold selection (the paper's Section-VII
+future work, implemented)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.noise_filter import max_rnmse
-from repro.core.thresholds import (
-    coefficient_of_variation,
-    mad_variability,
-    max_relative_range,
-    select_alpha,
-    select_tau,
-    variability_measures,
-)
-
-
-def _noisy(seed, reps=5, rows=8, sigma=1e-3):
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(1.0, 10.0, size=rows)
-    return base[None, :] * (1.0 + rng.normal(0.0, sigma, size=(reps, rows)))
-
-
-class TestAlternativeMeasures:
-    @pytest.mark.parametrize("measure_name", sorted(variability_measures()))
-    def test_zero_for_identical_vectors(self, measure_name):
-        measure = variability_measures()[measure_name]
-        vectors = np.tile([1.0, 2.0, 3.0], (4, 1))
-        assert measure(vectors) == 0.0
-
-    @pytest.mark.parametrize("measure_name", sorted(variability_measures()))
-    def test_positive_for_noisy_vectors(self, measure_name):
-        measure = variability_measures()[measure_name]
-        assert measure(_noisy(0)) > 0.0
-
-    @pytest.mark.parametrize(
-        "measure", [max_relative_range, coefficient_of_variation, mad_variability]
-    )
-    def test_validation(self, measure):
-        with pytest.raises(ValueError):
-            measure(np.ones((1, 3)))
-
-    def test_max_relative_range_known_value(self):
-        vectors = np.array([[1.0, 10.0], [1.2, 10.0]])
-        # Row 0: spread 0.2 over mean 1.1; row 1: 0.
-        assert max_relative_range(vectors) == pytest.approx(0.2 / 1.1)
-
-    def test_zero_mean_rows_score_one(self):
-        vectors = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert max_relative_range(vectors) == 1.0
-        assert coefficient_of_variation(vectors) > 0.5
-
-    def test_mad_robust_to_single_corrupt_repetition(self):
-        """The designed advantage: one spiked repetition saturates
-        max-RNMSE but barely moves the MAD measure."""
-        clean = _noisy(1, reps=7, sigma=1e-4)
-        corrupted = clean.copy()
-        corrupted[3] *= 5.0  # one run hit by an SMI
-        rnmse_jump = max_rnmse(corrupted) / max_rnmse(clean)
-        mad_jump = mad_variability(corrupted) / max(mad_variability(clean), 1e-12)
-        assert rnmse_jump > 100
-        assert mad_jump < 10
-
-    @settings(max_examples=40)
-    @given(st.integers(0, 10_000), st.floats(1.1, 100.0))
-    def test_property_measures_scale_invariant(self, seed, scale):
-        vectors = _noisy(seed)
-        for measure in (max_relative_range, coefficient_of_variation, mad_variability):
-            assert np.isclose(measure(vectors), measure(scale * vectors), rtol=1e-9)
-
-    @settings(max_examples=40)
-    @given(st.integers(0, 10_000))
-    def test_property_more_noise_scores_higher(self, seed):
-        quiet = _noisy(seed, sigma=1e-5)
-        loud = _noisy(seed, sigma=1e-2)
-        for measure in (max_relative_range, coefficient_of_variation):
-            assert measure(loud) > measure(quiet)
+from repro.core.thresholds import select_alpha, select_tau
 
 
 class TestSelectTau:

@@ -6,14 +6,9 @@ import pytest
 from repro.guard import ValidationError
 from repro.guard.validate import (
     require_finite,
-    require_fraction,
-    require_in,
     require_int,
-    require_matrix,
-    require_monotone,
     require_nonempty,
     require_positive,
-    require_vector,
 )
 
 
@@ -44,43 +39,6 @@ class TestRequireFinite:
             require_finite(np.array([np.nan]), "m")
 
 
-class TestRequireMatrix:
-    def test_accepts_lists(self):
-        out = require_matrix([[1, 2], [3, 4]], "m")
-        assert out.shape == (2, 2)
-
-    def test_rejects_wrong_ndim(self):
-        with pytest.raises(ValidationError, match="2-D matrix"):
-            require_matrix(np.zeros(3), "m")
-
-    def test_enforces_minimum_shape(self):
-        with pytest.raises(ValidationError, match="at least 3 row"):
-            require_matrix(np.zeros((2, 2)), "m", min_rows=3)
-        with pytest.raises(ValidationError, match="at least 4 column"):
-            require_matrix(np.zeros((5, 2)), "m", min_cols=4)
-
-    def test_rejects_non_numeric(self):
-        with pytest.raises(ValidationError, match="not numeric"):
-            require_matrix([["a", "b"]], "m")
-
-    def test_finite_check_optional(self):
-        a = np.array([[np.nan]])
-        with pytest.raises(ValidationError):
-            require_matrix(a, "m")
-        out = require_matrix(a, "m", finite=False)
-        assert np.isnan(out[0, 0])
-
-
-class TestRequireVector:
-    def test_length_enforced(self):
-        with pytest.raises(ValidationError, match="length 3"):
-            require_vector([1.0, 2.0], "v", length=3)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValidationError, match="1-D vector"):
-            require_vector(np.zeros((2, 2)), "v")
-
-
 class TestScalars:
     def test_positive(self):
         assert require_positive(2.5, "tau") == 2.5
@@ -98,33 +56,12 @@ class TestScalars:
         with pytest.raises(ValidationError, match=">= 2"):
             require_int(1, "repetitions", minimum=2)
 
-    def test_fraction(self):
-        assert require_fraction(1.0, "quorum") == 1.0
-        for bad in (0.0, 1.5, -0.2):
-            with pytest.raises(ValidationError):
-                require_fraction(bad, "quorum")
-
 
 class TestSequences:
     def test_nonempty(self):
         assert require_nonempty([1], "events") == [1]
         with pytest.raises(ValidationError, match="must not be empty"):
             require_nonempty([], "events")
-
-    def test_monotone_strict_names_inversion(self):
-        with pytest.raises(ValidationError, match=r"entry 2 \(2\) does not follow 3"):
-            require_monotone([1, 3, 2], "loop_sizes")
-
-    def test_monotone_weak_allows_plateaus(self):
-        out = require_monotone([1, 1, 2], "sizes", strict=False)
-        np.testing.assert_array_equal(out, [1, 1, 2])
-        with pytest.raises(ValidationError):
-            require_monotone([1, 1, 2], "sizes", strict=True)
-
-    def test_in_lists_alternatives(self):
-        assert require_in("a", ("a", "b"), "mode") == "a"
-        with pytest.raises(ValidationError, match=r"'a'.*'b'"):
-            require_in("c", ("a", "b"), "mode")
 
 
 class TestErrorHierarchy:

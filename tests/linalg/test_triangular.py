@@ -1,18 +1,18 @@
-"""Tests for the substitution solvers."""
+"""Tests for the back-substitution solver."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import solve_lower, solve_upper
+from repro.linalg import solve_upper
 
 
-def _well_conditioned_triangular(draw, lower):
+def _well_conditioned_upper(draw):
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     a = rng.uniform(-2.0, 2.0, size=(n, n))
-    a = np.tril(a) if lower else np.triu(a)
+    a = np.triu(a)
     # Push the diagonal away from zero so the system is well conditioned.
     diag_sign = np.where(np.diag(a) >= 0, 1.0, -1.0)
     a[np.diag_indices(n)] = diag_sign * (np.abs(np.diag(a)) + 1.0)
@@ -59,36 +59,5 @@ class TestSolveUpper:
     @settings(max_examples=60)
     @given(st.data())
     def test_property_roundtrip(self, data):
-        r, x = _well_conditioned_triangular(data.draw, lower=False)
+        r, x = _well_conditioned_upper(data.draw)
         assert np.allclose(solve_upper(r, r @ x), x, atol=1e-8)
-
-
-class TestSolveLower:
-    def test_known_system(self):
-        l = np.array([[2.0, 0.0], [1.0, 4.0]])
-        x = solve_lower(l, np.array([4.0, 10.0]))
-        assert np.allclose(x, [2.0, 2.0])
-
-    def test_singular_raises(self):
-        l = np.array([[0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_lower(l, np.ones(2))
-
-    def test_matrix_rhs_shape(self):
-        l = np.eye(3) * 2.0
-        b = np.ones((3, 4))
-        assert solve_lower(l, b).shape == (3, 4)
-
-    @settings(max_examples=60)
-    @given(st.data())
-    def test_property_roundtrip(self, data):
-        l, x = _well_conditioned_triangular(data.draw, lower=True)
-        assert np.allclose(solve_lower(l, l @ x), x, atol=1e-8)
-
-    @settings(max_examples=30)
-    @given(st.data())
-    def test_property_transpose_duality(self, data):
-        # solve_lower(L, b) == solve_upper(L.T, b) for symmetric use.
-        l, x = _well_conditioned_triangular(data.draw, lower=True)
-        b = l @ x
-        assert np.allclose(solve_lower(l, b), solve_upper(l.T, l.T @ solve_lower(l, b)), atol=1e-8)

@@ -8,7 +8,6 @@ from repro.events import EventDomain, EventRegistry, RawEvent
 from repro.hardware import PMU
 from repro.papi import (
     Component,
-    ComponentTable,
     EventSet,
     EventSetState,
     PAPIError,
@@ -45,31 +44,6 @@ class TestComponent:
     def test_native_avail(self, component):
         assert component.native_avail() == [f"EV{i}" for i in range(5)]
         assert component.native_avail(prefix="EV4") == ["EV4"]
-
-
-class TestComponentTable:
-    def test_register_and_get(self, component):
-        table = ComponentTable([component])
-        assert table.get("cpu") is component
-        assert len(table) == 1
-
-    def test_duplicate_rejected(self, component):
-        table = ComponentTable([component])
-        with pytest.raises(ValueError):
-            table.register(component)
-
-    def test_missing_component(self):
-        with pytest.raises(KeyError, match="available"):
-            ComponentTable().get("rocm")
-
-    def test_resolve_event(self, component):
-        other = Component(name="rocm", events=_registry(2))
-        # Names collide across registries in this synthetic setup; resolve
-        # returns the first registering component.
-        table = ComponentTable([component])
-        assert table.resolve_event("EV3") is component
-        with pytest.raises(KeyError):
-            table.resolve_event("MISSING")
 
 
 class TestEventSetLifecycle:
