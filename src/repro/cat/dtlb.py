@@ -37,7 +37,7 @@ from typing import List, Sequence, Tuple
 
 from repro.activity import Activity
 from repro.events.model import EventDomain
-from repro.hardware.cpu import CPUConfig, PointerChase, SimulatedCPU
+from repro.hardware.cpu import PointerChase, SimulatedCPU
 from repro.hardware.tlb import TLBConfig
 
 __all__ = ["DTLBBenchmark", "default_page_counts"]

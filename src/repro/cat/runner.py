@@ -33,10 +33,8 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from repro.activity import Activity
 from repro.cat.measurement import MeasurementSet
 from repro.events.catalogs._builders import log_uniform_sigma
-from repro.events.model import RawEvent
 from repro.events.registry import EventRegistry
 from repro.hardware.systems import MachineNode
 from repro.obs import get_tracer

@@ -23,7 +23,7 @@ Four concrete bases mirror the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

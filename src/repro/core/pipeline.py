@@ -19,7 +19,7 @@ Ties the paper's stages together, in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np

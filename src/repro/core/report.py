@@ -10,10 +10,10 @@ through this module so human-facing output has one source of truth.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Union
 
 from repro.core.pipeline import PipelineResult
-from repro.io.tables import format_float, render_markdown_table, write_markdown
+from repro.io.tables import format_float, render_markdown_table
 from repro.viz.ascii import log_scatter
 from repro.viz.series import fig2_series
 

@@ -16,9 +16,7 @@ truth of a metric is the signature-weighted sum of those keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.activity import Activity
 from repro.cat.kernels import CPU_FLOPS_DIMENSIONS, GPU_FLOPS_DIMENSIONS

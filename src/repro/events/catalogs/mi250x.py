@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.events.catalogs._builders import cached_catalog, family
-from repro.events.model import EventDomain, RawEvent
+from repro.events.model import EventDomain
 from repro.events.registry import EventRegistry
 from repro.activity import VALU_PRECISIONS, valu_instr_key
 

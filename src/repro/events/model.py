@@ -11,17 +11,23 @@ what the analysis pipeline later rediscovers.
 Events also carry a :class:`~repro.events.noise.NoiseModel` and a domain tag
 (which hardware component they describe), used by the CAT runner to decide
 which events each benchmark measures.
+
+Every content digest of events (cache keys, registry digests, catalog
+dependency maps) hashes the same per-event chunk, memoized on the event
+object (:attr:`RawEvent.content_chunk`, :attr:`RawEvent.digest`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.events.noise import NoiseModel, no_noise
 from repro.activity import Activity
+from repro.io.digest import sha256_hex
 
 __all__ = ["EventDomain", "RawEvent"]
 
@@ -109,6 +115,23 @@ class RawEvent:
         if self.device is not None:
             return f"rocm:::{base}:device={self.device}"
         return base
+
+    # Content addressing ----------------------------------------------------
+    # Memoized per event object.  Sound because the event is frozen and
+    # every edit (``dataclasses.replace``, ``repro.incr.apply_edits``) makes
+    # a new object: an edited event starts with no memo, and an unedited
+    # one keeps its object and so its digest.
+    @cached_property
+    def content_chunk(self) -> bytes:
+        """This event's bytes in every event-content digest: full name,
+        sorted response weights and noise model, NUL-terminated."""
+        response = repr(sorted(self.response.items()))
+        return (self.full_name + response + repr(self.noise)).encode() + b"\x00"
+
+    @cached_property
+    def digest(self) -> str:
+        """Hex SHA-256 of :attr:`content_chunk` (the one-event set digest)."""
+        return sha256_hex(self.content_chunk)
 
     def true_count(self, activity: Activity) -> float:
         """Noise-free count of this event for one kernel execution."""

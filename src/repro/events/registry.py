@@ -156,7 +156,6 @@ class EventRegistry:
         self._by_name: Dict[str, RawEvent] = {}
         self._packed: Optional[PackedWeights] = None
         self._content_digest: Optional[str] = None
-        self._event_digests: Optional[Dict[str, str]] = None
         for event in events or ():
             self.add(event)
 
@@ -169,8 +168,7 @@ class EventRegistry:
         self._by_name[key] = event
         self._events.append(event)
         self._packed = None  # the cached weight matrix is now stale
-        self._content_digest = None  # and so are the content digests
-        self._event_digests = None
+        self._content_digest = None  # and so is the content digest
 
     def extend(self, events: Iterable[RawEvent]) -> None:
         for event in events:
@@ -229,23 +227,27 @@ class EventRegistry:
             self._content_digest = event_set_digest(self._events)
         return self._content_digest
 
-    def event_digests(self) -> Dict[str, str]:
+    def event_digests(
+        self, domains: Optional[Sequence[str]] = None
+    ) -> Dict[str, str]:
         """Per-event content digests: ``full name -> digest``.
 
         Each digest covers exactly one event's (name, response, noise)
         content — the dependency coordinates ``repro.incr`` tracks so a
         registry edit invalidates only the entries that consumed the
-        edited event.  Cached; :meth:`add` invalidates.  Returns a fresh
-        dict so callers can hold it across later registry mutation.
+        edited event.  ``domains`` keeps only the events of those
+        domains, in registry order (the map of ``select(domains=...)``
+        without building the sub-registry).  Each digest is memoized on
+        its event (:attr:`RawEvent.digest`), so this is one dict build;
+        the dict is fresh, so callers can hold it across later registry
+        mutation.
         """
-        if self._event_digests is None:
-            from repro.io.cache import event_set_digest
-
-            self._event_digests = {
-                event.full_name: event_set_digest([event])[:16]
-                for event in self._events
-            }
-        return dict(self._event_digests)
+        wanted = set(domains) if domains is not None else None
+        return {
+            event.full_name: event.digest[:16]
+            for event in self._events
+            if wanted is None or event.domain in wanted
+        }
 
     # Filtering ------------------------------------------------------------
     def select(

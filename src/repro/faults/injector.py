@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import zlib
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 

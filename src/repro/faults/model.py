@@ -17,8 +17,8 @@ tasks) and fold into content digests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "FaultConfig",

@@ -13,9 +13,9 @@ filtered by the pipeline rather than being trivially absent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
-from repro.activity import Activity, valu_instr_key
+from repro.activity import Activity
 
 __all__ = ["GPUConfig", "GPUKernel", "SimulatedGPU"]
 

@@ -17,9 +17,7 @@ slots — mirroring Intel's fixed-counter arrangement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.events.model import RawEvent
 from repro.activity import Activity

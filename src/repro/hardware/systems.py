@@ -8,7 +8,7 @@ reproducibility for the node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.events.catalogs import mi250x_events, sapphire_rapids_events, zen3_events

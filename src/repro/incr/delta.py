@@ -29,8 +29,9 @@ depend on the co-scheduled set, so per-column caching cannot reuse it).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +44,8 @@ from repro.io.cache import (
     MeasurementCache,
     _benchmark_fingerprint,
     _node_fingerprint,
-    event_set_digest,
 )
-from repro.io.digest import json_digest
+from repro.io.digest import canonical_json
 from repro.obs import get_tracer
 
 __all__ = [
@@ -54,6 +54,44 @@ __all__ = [
     "default_column_cache",
     "measure_with_deltas",
 ]
+
+#: Stand-in for the event digest while the shared part of the column-key
+#: payload is serialized.  No other field serializes to its JSON text
+#: (``"\u0000event\u0000"``); if one ever did, the two-way split in
+#: :func:`_column_keys` would raise instead of mis-keying.
+_EVENT_SLOT = "\x00event\x00"
+
+
+def _column_keys(
+    node: MachineNode,
+    benchmark: CATBenchmark,
+    events: Sequence[RawEvent],
+    repetitions: int,
+) -> List[str]:
+    """Column keys of ``events``: the canonical-JSON digest of
+    ``{node, benchmark, event, repetitions, column}`` for each event.
+
+    Only ``event`` differs between the columns of one measurement, so the
+    payload is serialized once and split around that slot; the prefix
+    (about 1 kB: the node's config repr) is hashed once, and each key
+    continues a copy of that hash with the event's memoized digest and
+    the suffix — byte for byte the text ``json_digest`` would hash.
+    """
+    payload = {
+        "node": _node_fingerprint(node),
+        "benchmark": _benchmark_fingerprint(benchmark),
+        "event": _EVENT_SLOT,
+        "repetitions": repetitions,
+        "column": True,
+    }
+    prefix, suffix = canonical_json(payload).split(canonical_json(_EVENT_SLOT))
+    framed, tail = hashlib.sha256(prefix.encode()), suffix.encode()
+    keys = []
+    for event in events:
+        key = framed.copy()
+        key.update(f'"{event.digest}"'.encode() + tail)
+        keys.append(key.hexdigest())
+    return keys
 
 
 def column_key(
@@ -72,14 +110,7 @@ def column_key(
     co-measured set, which is what lets an unrelated registry edit keep
     this column's cache entry valid.
     """
-    payload = {
-        "node": _node_fingerprint(node),
-        "benchmark": _benchmark_fingerprint(benchmark),
-        "event": event_set_digest([event]),
-        "repetitions": repetitions,
-        "column": True,
-    }
-    return json_digest(payload)
+    return _column_keys(node, benchmark, [event], repetitions)[0]
 
 
 @dataclass(frozen=True)
@@ -140,7 +171,7 @@ def measure_with_deltas(
     if not event_list:
         raise ValueError(f"no events selected for benchmark {benchmark.name!r}")
 
-    keys = [column_key(node, benchmark, e, repetitions) for e in event_list]
+    keys = _column_keys(node, benchmark, event_list, repetitions)
     columns = [cache.get(k) for k in keys]
     missing = [i for i, col in enumerate(columns) if col is None]
 

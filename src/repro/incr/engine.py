@@ -84,7 +84,7 @@ def domain_event_digests(
     change the noise filter, the representation set, and hence the
     selection, so the dependency set must be the whole measured slice.
     """
-    return registry.select(domains=measured_event_domains(domain)).event_digests()
+    return registry.event_digests(domains=measured_event_domains(domain))
 
 
 @dataclass

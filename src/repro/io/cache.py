@@ -65,15 +65,11 @@ def event_set_digest(events: Iterable[RawEvent]) -> str:
     """Digest of an event set's *content*, not just its names.
 
     Two registries with the same names but different response weights or
-    noise models would measure differently; both are folded into the hash.
+    noise models would measure differently; both are folded into the hash
+    (one memoized :attr:`~repro.events.model.RawEvent.content_chunk` per
+    event, so a set digest hashes but never re-serializes).
     """
-    chunks: List[Union[str, bytes]] = []
-    for event in events:
-        chunks.append(event.full_name)
-        chunks.append(repr(sorted(event.response.items())))
-        chunks.append(repr(event.noise))
-        chunks.append(b"\x00")
-    return sha256_hex(*chunks)
+    return sha256_hex(*(event.content_chunk for event in events))
 
 
 def _node_fingerprint(node) -> dict:

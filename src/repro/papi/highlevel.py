@@ -16,14 +16,14 @@ on real hardware it would be the instrumented region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.activity import Activity
 from repro.hardware.systems import MachineNode
 from repro.papi.component import Component
 from repro.papi.eventset import EventSet, PAPIError
-from repro.papi.presets import PresetMetric, PresetTable
+from repro.papi.presets import PresetTable
 
 __all__ = ["HighLevelMonitor", "RegionReading"]
 

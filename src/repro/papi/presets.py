@@ -10,8 +10,8 @@ pipeline emits presets, and tools consume them through this table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping
 
 __all__ = ["PresetMetric", "PresetTable", "PAPI_PRESET_NAMES"]
 

@@ -61,7 +61,7 @@ import json
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Callable,

@@ -11,7 +11,7 @@ Two plot shapes cover the evaluation:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

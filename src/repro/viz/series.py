@@ -8,7 +8,7 @@ assertable: benches regenerate and check the series, then render them with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

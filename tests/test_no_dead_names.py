@@ -16,6 +16,10 @@ spelling the name.  It counts when it sits
 Re-exports in ``__init__.py`` files do not count: they make a name
 importable, not used.  Names kept on purpose without a caller go in
 :data:`KEEP` with the reason.
+
+The same holds one level down: every name a non-``__init__`` module
+binds with a module-level ``import`` or ``from ... import`` must be read
+in that module (as a ``Name``) or listed in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -40,6 +44,11 @@ KEEP: Dict[str, str] = {
     "score_column": (
         "scalar reference that test_score_columns_vectorizes compares "
         "score_columns against"
+    ),
+    "column_key": (
+        "public one-event form of the column-key derivation that "
+        "measure_with_deltas runs batched; the tests pin the cache-key "
+        "format through it"
     ),
     "quantized": (
         "only constructor of the 'quantized' NoiseModel kind, whose "
@@ -118,3 +127,46 @@ def test_every_public_name_has_a_caller():
 def test_keep_entries_are_still_defined_and_unreferenced():
     # A KEEP entry that gained a caller, or whose name is gone, is stale.
     assert sorted(name for _, name in dead_names() if name in KEEP) == sorted(KEEP)
+
+
+def _exported(tree: ast.Module) -> List[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+            and isinstance(stmt.value, (ast.List, ast.Tuple))
+        ):
+            return [elt.value for elt in stmt.value.elts if isinstance(elt, ast.Constant)]
+    return []
+
+
+def unused_imports() -> List[Tuple[str, str]]:
+    """``(module path, name)`` of every module-level import binding that
+    its non-``__init__`` ``src/repro`` module neither reads nor exports."""
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if type(node) is ast.Name}
+        read.update(_exported(tree))
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    unused.append((str(path.relative_to(ROOT)), name))
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    unused = unused_imports()
+    assert not unused, (
+        "module-level imports the importing module never uses (delete "
+        "them, or list a deliberate re-export in __all__):\n"
+        + "\n".join(f"  {path}: {name}" for path, name in unused)
+    )
