@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.activity import Activity
-from repro.cat.kernels import CPU_FLOPS_DIMENSIONS, FlopKernelClass
+from repro.cat.kernels import CPU_FLOPS_DIMENSIONS
 from repro.events.model import EventDomain
 from repro.hardware.branch import BranchSpec
 from repro.hardware.cpu import ComputeKernel, SimulatedCPU
@@ -52,10 +52,6 @@ class CPUFlopsBenchmark:
                     branches=(BranchSpec("taken"),),
                 )
                 self._kernels.append((kernel.name, kernel))
-
-    @property
-    def dimensions(self) -> Tuple[FlopKernelClass, ...]:
-        return CPU_FLOPS_DIMENSIONS
 
     def row_labels(self) -> List[str]:
         return [label for label, _ in self._kernels]

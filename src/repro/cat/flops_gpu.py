@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.activity import Activity
-from repro.cat.kernels import GPU_FLOPS_DIMENSIONS, GPU_FLOPS_LOOP_BLOCKS, GpuKernelClass
+from repro.cat.kernels import GPU_FLOPS_DIMENSIONS, GPU_FLOPS_LOOP_BLOCKS
 from repro.events.model import EventDomain
 from repro.hardware.gpu import GPUKernel, SimulatedGPU
 
@@ -43,10 +43,6 @@ class GPUFlopsBenchmark:
                     salu_ops=self.salu_ops_per_iter,
                 )
                 self._kernels.append((kernel.name, kernel))
-
-    @property
-    def dimensions(self) -> Tuple[GpuKernelClass, ...]:
-        return GPU_FLOPS_DIMENSIONS
 
     def row_labels(self) -> List[str]:
         return [label for label, _ in self._kernels]

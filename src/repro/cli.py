@@ -52,6 +52,18 @@ def _usage_exit(message: str) -> SystemExit:
     return SystemExit(2)
 
 
+def _catalog_store(root, command: str, shards: int = 0):
+    """The catalog store at ``root``; a root the store refuses to open
+    (a foreign manifest, a shard-count mismatch, sharding a root that
+    holds unsharded entries) is a usage error."""
+    from repro.serve import MetricCatalogStore
+
+    try:
+        return MetricCatalogStore(root, shards=shards)
+    except ValueError as exc:
+        raise _usage_exit(f"repro-cat {command}: {exc}")
+
+
 def _node(system: str, seed: int):
     if system == "aurora":
         return aurora_node(seed=seed)
@@ -829,9 +841,7 @@ def _catalog_refresh(store, args) -> int:
 
 
 def _catalog_main(args) -> int:
-    from repro.serve import open_catalog
-
-    store = open_catalog(args.root)
+    store = _catalog_store(args.root, "catalog")
 
     if args.catalog_command == "list":
         if args.stale_only:
@@ -1003,10 +1013,9 @@ def _vet_main(args) -> int:
         return 0
 
     if args.vet_command == "drift":
-        from repro.serve import open_catalog
         from repro.vet import detect_drift
 
-        store = open_catalog(args.root)
+        store = _catalog_store(args.root, "vet drift")
         report = detect_drift(store, arch=args.arch)
         if args.json:
             print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
@@ -1098,9 +1107,7 @@ def _ingest_main(args) -> int:
         config = replace(DOMAIN_CONFIGS[bundle.manifest.domain], strict=True)
     store = None
     if args.catalog is not None:
-        from repro.serve import open_catalog
-
-        store = open_catalog(args.catalog)
+        store = _catalog_store(args.catalog, "ingest run")
     try:
         outcome = run_ingest(bundle, config=config, store=store)
     except GuardViolation as exc:
@@ -1148,6 +1155,14 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "serve":
         import asyncio
+
+        # Opened here first so a topology mismatch is a usage error
+        # before any worker spawns.
+        store = (
+            _catalog_store(args.catalog, "serve", shards=args.shards)
+            if args.catalog is not None
+            else None
+        )
 
         def announce(port: int) -> None:
             if args.port == 0:
@@ -1199,13 +1214,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 print("repro-cat serve: stopped", file=sys.stderr)
             return 0
 
-        from repro.serve import MetricService, open_catalog, run_server
+        from repro.serve import MetricService, run_server
 
-        store = (
-            open_catalog(args.catalog, shards=args.shards)
-            if args.catalog is not None
-            else None
-        )
         service = MetricService(
             store,
             workers=args.workers,

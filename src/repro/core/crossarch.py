@@ -67,18 +67,6 @@ class PortabilityMatrix:
             if all(self.cell(m, a).composable for a in self.architectures)
         ]
 
-    def architecture_specific(self) -> Dict[str, List[str]]:
-        """architecture -> metrics composable there but not everywhere."""
-        universal = set(self.universal_metrics())
-        out: Dict[str, List[str]] = {}
-        for arch in self.architectures:
-            out[arch] = [
-                m
-                for m in self.metrics
-                if self.cell(m, arch).composable and m not in universal
-            ]
-        return out
-
     def uncomposable_everywhere(self) -> List[str]:
         return [
             m

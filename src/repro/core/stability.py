@@ -51,13 +51,6 @@ class StabilityReport:
             for dim, counter in self.dimension_carriers.items()
         }
 
-    def modal_selection(self) -> List[str]:
-        """The most frequent carrier per dimension."""
-        return [
-            counter.most_common(1)[0][0]
-            for counter in self.dimension_carriers.values()
-        ]
-
     def summary(self) -> str:
         lines = [
             f"{self.domain}: {len(self.seeds)} seeds, "

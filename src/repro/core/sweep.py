@@ -167,7 +167,6 @@ def expand_grid(
     systems: Sequence[str],
     domains: Sequence[str],
     seed: int = 2024,
-    use_cache: bool = False,
     cache_dir: Optional[str] = None,
     faults: Optional[FaultConfig] = None,
 ) -> List[SweepTask]:
@@ -176,7 +175,6 @@ def expand_grid(
 
     Order is deterministic: systems outer, domains inner, as given.
     """
-    use_cache = use_cache or cache_dir is not None
     tasks: List[SweepTask] = []
     for system in systems:
         if system not in SWEEP_SYSTEMS:
@@ -187,7 +185,7 @@ def expand_grid(
             if domain not in SYSTEM_DOMAINS[system]:
                 continue
             config = None
-            if use_cache:
+            if cache_dir is not None:
                 if domain not in DOMAIN_CONFIGS:
                     raise KeyError(f"unknown domain {domain!r}")
                 config = replace(DOMAIN_CONFIGS[domain], use_measurement_cache=True)
@@ -555,29 +553,6 @@ class SweepEngine:
         tracer.incr("sweep.failed", len(tasks) - ok)
         tracer.incr("sweep.resumed", resumed)
         return results  # type: ignore[return-value]
-
-    def run_grid(
-        self,
-        systems: Sequence[str],
-        domains: Sequence[str],
-        seed: int = 2024,
-        use_cache: bool = False,
-        cache_dir: Optional[str] = None,
-        faults: Optional[FaultConfig] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-    ) -> List[SweepOutcome]:
-        """Convenience: :func:`expand_grid` + :meth:`run`."""
-        return self.run(
-            expand_grid(
-                systems,
-                domains,
-                seed=seed,
-                use_cache=use_cache,
-                cache_dir=cache_dir,
-                faults=faults,
-            ),
-            checkpoint_dir=checkpoint_dir,
-        )
 
 
 def results_by_label(outcomes: Sequence[SweepOutcome]) -> Dict[str, PipelineResult]:

@@ -93,12 +93,6 @@ class MetricValidation:
     tolerance: float
 
     @property
-    def max_abs_error(self) -> float:
-        if not self.cases:
-            return 0.0
-        return max(abs(m - t) for _, m, t in self.cases)
-
-    @property
     def max_rel_error(self) -> float:
         worst = 0.0
         for _, measured, truth in self.cases:

@@ -106,10 +106,6 @@ class PackedWeights:
             self._terms.append((ev_idx, k_idx, weights))
 
     @property
-    def n_keys(self) -> int:
-        return len(self.keys)
-
-    @property
     def n_events(self) -> int:
         return len(self.events)
 

@@ -112,10 +112,6 @@ class CacheLevel:
                 cache_set[line] = None
         return hits
 
-    def resident_lines(self) -> int:
-        """Number of lines currently cached (diagnostics)."""
-        return sum(len(s) for s in self._sets)
-
 
 @dataclass(frozen=True)
 class LevelCounts:
@@ -128,10 +124,6 @@ class LevelCounts:
     @property
     def misses(self) -> int:
         return self.accesses - self.hits
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
 
 
 @dataclass(frozen=True)
@@ -219,10 +211,6 @@ class CacheHierarchy:
     @property
     def line_bytes(self) -> int:
         return self.configs[0].line_bytes
-
-    def reset(self) -> None:
-        for level in self.levels:
-            level.reset()
 
     def simulate_trace(self, line_addrs: Sequence[int]) -> HierarchyCounts:
         """Exact simulation of a line-address trace through all levels."""

@@ -122,11 +122,6 @@ class DeltaReport:
     measured: int
     measured_events: Tuple[str, ...] = ()
 
-    @property
-    def full_run(self) -> bool:
-        """True when nothing was reusable (a cold cache or a new node)."""
-        return self.reused == 0
-
 
 _COLUMN_CACHE: Optional[MeasurementCache] = None
 

@@ -295,10 +295,6 @@ class Trace:
         parent_id = span.id if span is not None else None
         return [s for s in self.spans if s.parent == parent_id]
 
-    def find(self, path: str) -> List[Span]:
-        """Every span recorded at ``path`` (root-relative, ``/``-joined)."""
-        return [s for s in self.spans if s.path == path]
-
     def stage_timings(self) -> Dict[str, int]:
         """Aggregate duration (ns) per stage name, first-seen order.
 

@@ -6,7 +6,9 @@ Layers, bottom up:
   store of served :class:`~repro.core.metrics.MetricDefinition` records
   (coefficients bit-exact, trust certification, guard stamps, lineage),
   published crash-consistently (fsync + staged rename) and repairable
-  after a crash via :meth:`MetricCatalogStore.fsck`.
+  after a crash via :meth:`MetricCatalogStore.fsck`.  One store serves
+  an unsharded root and an N-shard root alike, with a hot-entry
+  read-replica cache invalidated on the events-registry digest.
 * :mod:`repro.serve.service` / :mod:`repro.serve.http` — an asyncio
   service over the analysis pipeline with request coalescing, batched
   dispatch, bounded-queue backpressure, structured fault errors, and
@@ -19,12 +21,9 @@ Layers, bottom up:
 * :mod:`repro.serve.client` — the blocking :class:`CatalogClient`: one
   attempt by default, optionally retrying under a deadline; its
   transport is also the supervisor's hop to a worker.
-* :mod:`repro.serve.shard` — a consistent-hash ring
-  (:class:`ShardRing`) partitioning the catalog by (architecture,
-  metric) across N shard directories, fronted by
-  :class:`ShardedCatalogStore`: routed reads/writes, deterministic
-  fan-out for listings/fsck, and a hot-entry read-replica cache
-  invalidated on the events-registry digest.
+* :mod:`repro.serve.shard` — the consistent-hash ring
+  (:class:`ShardRing`) that routes each (architecture, metric) key of
+  a sharded catalog root to one shard directory.
 * :mod:`repro.serve.chaos` — the invariant's ground truth: the
   definition digest of a served payload and the in-process baseline
   every drill judges responses against.
@@ -76,13 +75,7 @@ from repro.serve.service import (
     ServiceStats,
     TransportError,
 )
-from repro.serve.shard import (
-    ShardRing,
-    ShardUnavailable,
-    ShardedCatalogStore,
-    open_catalog,
-    shard_names,
-)
+from repro.serve.shard import ShardRing, shard_names
 from repro.serve.supervisor import (
     ServiceSupervisor,
     SupervisorConfig,
@@ -111,8 +104,6 @@ __all__ = [
     "ServiceStats",
     "ServiceSupervisor",
     "ShardRing",
-    "ShardUnavailable",
-    "ShardedCatalogStore",
     "SupervisorConfig",
     "SupervisorServer",
     "TransportError",
@@ -125,7 +116,6 @@ __all__ = [
     "idempotency_key",
     "latency_percentile",
     "metric_slug",
-    "open_catalog",
     "run_load_drill",
     "run_server",
     "shard_names",

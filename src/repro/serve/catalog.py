@@ -23,6 +23,13 @@ Storage layout (all writes atomic: staged file + ``os.replace``)::
       log.jsonl                                # append-only version log
       entries/<arch>/<metric-slug>/<config-digest>/v0001.json
 
+A sharded root (``shards=N``) holds the same layout once per shard,
+each key routed by a :class:`~repro.serve.shard.ShardRing`::
+
+    root/
+      shards.json                 # {"format": 1, "shards": [...], "vnodes": V}
+      shard-00/ ... shard-NN/     # each: log.jsonl + entries/...
+
 Invalidation: the config digest is part of the key, so a changed
 threshold simply misses.  A changed *event registry* would silently serve
 stale definitions — so every entry records its ``events_digest`` and the
@@ -40,6 +47,7 @@ import os
 import re
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
@@ -56,6 +64,7 @@ from repro.io.durability import (
     fsync_dir,
 )
 from repro.obs import get_tracer
+from repro.serve.shard import ShardRing, shard_names
 
 if TYPE_CHECKING:
     from repro.core.metrics import MetricDefinition
@@ -74,6 +83,11 @@ __all__ = [
 
 #: On-disk payload format version (bumped on incompatible changes).
 FORMAT_VERSION = 1
+
+#: Shard manifest format (bumped on incompatible changes).
+MANIFEST_FORMAT = 1
+
+_MANIFEST_NAME = "shards.json"
 
 
 def metric_slug(metric: str) -> str:
@@ -510,14 +524,44 @@ def diff_entries(a: CatalogEntry, b: CatalogEntry) -> CatalogDiff:
     return diff
 
 
+@dataclass
+class _Replica:
+    """One replicated entry plus the freshness evidence it was read under."""
+
+    entry: CatalogEntry
+    events_digest: Optional[str]
+    event_digests: Optional[Dict[str, str]]
+
+
 class MetricCatalogStore:
     """On-disk versioned catalog of metric definitions.
 
     Writes are atomic (staged file + ``os.replace``), version allocation
     races are resolved with ``os.link``'s exclusive-create semantics, and
-    every successful ``put`` appends one line to the ``log.jsonl``
-    version log — the log is the catalog's audit trail and is only
-    rewritten by explicit :meth:`compact_log` / :meth:`fsck` repair.
+    every successful ``put`` appends one line to its shard's
+    ``log.jsonl`` version log — the log is the catalog's audit trail and
+    is only rewritten by explicit :meth:`compact_log` / :meth:`fsck`
+    repair.
+
+    **Shards.**  A root is one or more *shard roots*, each holding
+    ``entries/`` and ``log.jsonl``.  An unsharded root is its own single
+    shard root.  A sharded root carries ``shards.json`` and one
+    ``shard-NN/`` directory per shard; a :class:`ShardRing` routes every
+    key ``(arch, metric)`` to exactly one of them (``shard.routes``).
+    The manifest is authoritative: ``shards=0`` opens whatever the root
+    is, ``shards > 0`` creates a sharded root.  Asking for a different
+    shard count than the manifest's, or sharding a root that already
+    holds unsharded entries, raises :class:`ValueError` — either would
+    route reads where no entry lives.  Listings, log reads, ``fsck`` and
+    ``compact_log`` visit every shard root in topology order; on a
+    sharded root a shard whose I/O fails is skipped for that call and
+    named in :attr:`degraded_shards`.
+
+    **Read replicas.**  ``latest`` reads that present freshness evidence
+    (an events digest or a dependency map) are kept in a small in-memory
+    LRU and served again while the caller's evidence still matches
+    (``shard.replica_hits``); a mismatch drops the replica
+    (``shard.replica_invalidations``), and a ``put`` of the key drops it.
 
     With ``durable=True`` (the default) publication follows full fsync
     discipline: staged contents are synced before the rename, the parent
@@ -534,10 +578,14 @@ class MetricCatalogStore:
     log append).  ``None`` publishes normally.
     """
 
+    #: Most replicated ``latest`` entries kept in memory.
+    _REPLICA_CAPACITY = 256
+
     def __init__(
         self,
         root: Union[str, Path],
         *,
+        shards: int = 0,
         durable: bool = True,
         failpoint: Optional[Callable[[str], Optional[str]]] = None,
     ):
@@ -545,15 +593,114 @@ class MetricCatalogStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.durable = durable
         self.failpoint = failpoint
-        self._log_lock = threading.Lock()
+        self.ring = self._open_ring(shards)
+        #: Every shard root in topology order.
+        self._shard_roots: Dict[str, Path] = (
+            {name: self.root / name for name in self.ring.shards}
+            if self.ring is not None
+            else {"": self.root}
+        )
+        # One lock per log: appends to different shards do not queue
+        # behind each other's fsync.
+        self._log_locks = {
+            path: threading.Lock() for path in self._shard_roots.values()
+        }
+        #: Shards the most recent fan-out had to skip (I/O errors).
+        self.degraded_shards: Tuple[str, ...] = ()
+        self._replicas: "OrderedDict[Tuple[str, str, str], _Replica]" = OrderedDict()
+        self._replica_lock = threading.Lock()
+
+    # -- topology ------------------------------------------------------
+    def _open_ring(self, shards: int) -> Optional[ShardRing]:
+        """The ring ``shards.json`` records, a new one for ``shards > 0``
+        (publishing the manifest), or None for an unsharded root."""
+        manifest_path = self.root / _MANIFEST_NAME
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except FileNotFoundError:
+            manifest = None
+        if manifest is None:
+            if shards == 0:
+                return None
+            if (self.root / "entries").exists() or (self.root / "log.jsonl").exists():
+                raise ValueError(
+                    f"{self.root} already holds unsharded entries; opening it "
+                    f"with shards={shards} would hide every one of them — "
+                    "migrate explicitly instead"
+                )
+            ring = ShardRing(shard_names(shards))
+            payload = {
+                "format": MANIFEST_FORMAT,
+                "shards": list(ring.shards),
+                "vnodes": ring.vnodes,
+            }
+            # Atomic, durable publish: racing creators (N workers opening
+            # the same fresh root) write identical content, but a reader
+            # must never see a torn manifest, and a lost one would reopen
+            # the root as unsharded.
+            staged = self.root / f".{_MANIFEST_NAME}.{os.getpid()}.staged"
+            durable_write(
+                staged,
+                json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                durable=self.durable,
+            )
+            durable_replace(staged, manifest_path, durable=self.durable)
+            return ring
+        if manifest.get("format") != MANIFEST_FORMAT:
+            raise ValueError(
+                f"unsupported shard manifest format {manifest.get('format')!r} "
+                f"in {manifest_path} (this reader speaks {MANIFEST_FORMAT})"
+            )
+        names = tuple(manifest["shards"])
+        if shards and shards != len(names):
+            raise ValueError(
+                f"{self.root} is a {len(names)}-shard catalog; reopening it "
+                f"with shards={shards} would re-partition every key — "
+                "migrate explicitly instead"
+            )
+        return ShardRing(names, vnodes=int(manifest["vnodes"]))
+
+    def _shard_root(self, arch: str, metric: str) -> Path:
+        """The shard root that owns ``(arch, metric)``."""
+        if self.ring is None:
+            return self.root
+        get_tracer().incr("shard.routes")
+        return self._shard_roots[self.ring.lookup(arch, metric)]
+
+    def _fan_out(self, op: Callable[[Path], object]) -> List[object]:
+        """``op(shard_root)`` for every shard root, in topology order.
+
+        On a sharded root an I/O error skips that shard for this call
+        (recorded in :attr:`degraded_shards`) instead of failing the
+        whole fan-out; an unsharded root's I/O errors raise."""
+        if self.ring is not None:
+            get_tracer().incr("shard.fanouts")
+        results: List[object] = []
+        degraded: List[str] = []
+        for name, shard_root in self._shard_roots.items():
+            try:
+                results.append(op(shard_root))
+            except OSError:
+                if self.ring is None:
+                    raise
+                degraded.append(name)
+        if degraded:
+            get_tracer().incr("shard.degraded_reads")
+        self.degraded_shards = tuple(degraded)
+        return results
 
     # -- paths ---------------------------------------------------------
-    @property
-    def log_path(self) -> Path:
-        return self.root / "log.jsonl"
+    @staticmethod
+    def _entry_dir(
+        shard_root: Path, arch: str, metric: str, config_digest: str
+    ) -> Path:
+        return shard_root / "entries" / arch / metric_slug(metric) / config_digest
 
-    def _entry_dir(self, arch: str, metric: str, config_digest: str) -> Path:
-        return self.root / "entries" / arch / metric_slug(metric) / config_digest
+    def _key_dir(self, arch: str, metric: str, config_digest: str) -> Path:
+        """The routed entry directory of one key."""
+        return self._entry_dir(
+            self._shard_root(arch, metric), arch, metric, config_digest
+        )
 
     @staticmethod
     def _version_path(entry_dir: Path, version: int) -> Path:
@@ -571,6 +718,53 @@ class MetricCatalogStore:
                 continue
         return sorted(versions)
 
+    # -- replicas ------------------------------------------------------
+    def _replica_get(
+        self,
+        key: Tuple[str, str, str],
+        events_digest: Optional[str],
+        event_digests: Optional[Dict[str, str]],
+    ) -> Optional[CatalogEntry]:
+        with self._replica_lock:
+            replica = self._replicas.get(key)
+            if replica is None:
+                return None
+            if (
+                replica.events_digest != events_digest
+                or replica.event_digests != event_digests
+            ):
+                # The registry moved under the replica (or the caller's
+                # freshness evidence changed): invalidate, re-read.
+                del self._replicas[key]
+                get_tracer().incr("shard.replica_invalidations")
+                return None
+            self._replicas.move_to_end(key)
+        get_tracer().incr("shard.replica_hits")
+        return replica.entry
+
+    def _replica_put(
+        self,
+        key: Tuple[str, str, str],
+        entry: CatalogEntry,
+        events_digest: Optional[str],
+        event_digests: Optional[Dict[str, str]],
+    ) -> None:
+        if events_digest is None and event_digests is None:
+            # An unchecked read carries no freshness evidence; caching
+            # it could serve a stale definition as fresh.  Don't.
+            return
+        with self._replica_lock:
+            self._replicas[key] = _Replica(
+                entry=entry,
+                events_digest=events_digest,
+                event_digests=(
+                    dict(event_digests) if event_digests is not None else None
+                ),
+            )
+            self._replicas.move_to_end(key)
+            while len(self._replicas) > self._REPLICA_CAPACITY:
+                self._replicas.popitem(last=False)
+
     # -- writes --------------------------------------------------------
     def put(self, entry: CatalogEntry) -> CatalogEntry:
         """Persist ``entry`` as the next version of its key.
@@ -580,7 +774,18 @@ class MetricCatalogStore:
         existing entry is returned (counted on ``catalog.dedup``) —
         re-serving an unchanged analysis must not grow the history.
         """
-        entry_dir = self._entry_dir(entry.arch, entry.metric, entry.config_digest)
+        stored = self._publish(entry)
+        # A write is the other invalidation edge: the replica of this
+        # key (if any) predates the new version.
+        with self._replica_lock:
+            self._replicas.pop((entry.arch, entry.metric, entry.config_digest), None)
+        return stored
+
+    def _publish(self, entry: CatalogEntry) -> CatalogEntry:
+        shard_root = self._shard_root(entry.arch, entry.metric)
+        entry_dir = self._entry_dir(
+            shard_root, entry.arch, entry.metric, entry.config_digest
+        )
         entry_dir.mkdir(parents=True, exist_ok=True)
         content = entry.content_digest()
         while True:
@@ -628,7 +833,7 @@ class MetricCatalogStore:
                 # but before the log append: fsck re-appends the record.
                 get_tracer().incr("catalog.chaos.unlogged_publication")
                 return stored
-            self._append_log(stored, content)
+            self._append_log(shard_root, stored, content)
             get_tracer().incr("catalog.stores")
             return stored
 
@@ -652,10 +857,14 @@ class MetricCatalogStore:
             "events_digest": entry.events_digest,
         }
 
-    def _append_log(self, entry: CatalogEntry, content_digest: str) -> None:
+    def _append_log(
+        self, shard_root: Path, entry: CatalogEntry, content_digest: str
+    ) -> None:
         line = json.dumps(self._log_record(entry, content_digest), sort_keys=True)
-        with self._log_lock:
-            durable_append(self.log_path, line + "\n", durable=self.durable)
+        with self._log_locks[shard_root]:
+            durable_append(
+                shard_root / "log.jsonl", line + "\n", durable=self.durable
+            )
 
     # -- reads ---------------------------------------------------------
     @staticmethod
@@ -674,7 +883,8 @@ class MetricCatalogStore:
         events_digest: Optional[str] = None,
         event_digests: Optional[Dict[str, str]] = None,
     ) -> Optional[CatalogEntry]:
-        """One stored version (the latest when ``version`` is None).
+        """One stored version (the latest when ``version`` is None), read
+        from disk.
 
         With ``events_digest``, an entry recorded against a *different*
         event registry is stale: it is reported as a miss and counted on
@@ -689,7 +899,7 @@ class MetricCatalogStore:
         Entries without a recorded map fall back to the coarse
         whole-registry comparison.
         """
-        entry_dir = self._entry_dir(arch, metric, config_digest)
+        entry_dir = self._key_dir(arch, metric, config_digest)
         if version is None:
             versions = self._versions_in(entry_dir)
             if not versions:
@@ -718,20 +928,28 @@ class MetricCatalogStore:
         events_digest: Optional[str] = None,
         event_digests: Optional[Dict[str, str]] = None,
     ) -> Optional[CatalogEntry]:
-        """The newest stored version of a key (staleness-checked)."""
-        return self.get(
+        """The newest stored version of a key (staleness-checked), from
+        the replica LRU when the caller's evidence still matches."""
+        key = (arch, metric, config_digest)
+        replica = self._replica_get(key, events_digest, event_digests)
+        if replica is not None:
+            return replica
+        entry = self.get(
             arch,
             metric,
             config_digest,
             events_digest=events_digest,
             event_digests=event_digests,
         )
+        if entry is not None:
+            self._replica_put(key, entry, events_digest, event_digests)
+        return entry
 
     def history(
         self, arch: str, metric: str, config_digest: str
     ) -> List[CatalogEntry]:
         """Every stored version, oldest first."""
-        entry_dir = self._entry_dir(arch, metric, config_digest)
+        entry_dir = self._key_dir(arch, metric, config_digest)
         entries = []
         for version in self._versions_in(entry_dir):
             entry = self._load(self._version_path(entry_dir, version))
@@ -748,7 +966,7 @@ class MetricCatalogStore:
         version_b: int,
     ) -> CatalogDiff:
         """Structured diff between two stored versions of one key."""
-        entry_dir = self._entry_dir(arch, metric, config_digest)
+        entry_dir = self._key_dir(arch, metric, config_digest)
         a = self._load(self._version_path(entry_dir, version_a))
         b = self._load(self._version_path(entry_dir, version_b))
         if a is None or b is None:
@@ -760,18 +978,24 @@ class MetricCatalogStore:
         return diff_entries(a, b)
 
     def list_entries(self, arch: Optional[str] = None) -> List[dict]:
-        """Summary rows for every (arch, metric, config digest) key."""
-        entries_root = self.root / "entries"
+        """Summary rows for every (arch, metric, config digest) key,
+        sorted by that key — one order for sharded and unsharded roots."""
+        rows: List[dict] = []
+        self._fan_out(lambda shard_root: self._list_shard(shard_root, arch, rows))
+        rows.sort(key=lambda r: (r["arch"], r["metric"], r["config_digest"]))
+        return rows
+
+    def _list_shard(
+        self, shard_root: Path, arch: Optional[str], rows: List[dict]
+    ) -> None:
+        entries_root = shard_root / "entries"
         if not entries_root.is_dir():
-            return []
-        rows = []
-        for arch_dir in sorted(entries_root.iterdir()):
+            return
+        for arch_dir in entries_root.iterdir():
             if arch is not None and arch_dir.name != arch:
                 continue
-            for slug_dir in sorted(p for p in arch_dir.iterdir() if p.is_dir()):
-                for digest_dir in sorted(
-                    p for p in slug_dir.iterdir() if p.is_dir()
-                ):
+            for slug_dir in arch_dir.iterdir():
+                for digest_dir in slug_dir.glob("*"):
                     versions = self._versions_in(digest_dir)
                     if not versions:
                         continue
@@ -798,25 +1022,29 @@ class MetricCatalogStore:
                             "degraded": latest.degraded,
                         }
                     )
-        return rows
 
     def log_records(self) -> List[dict]:
-        """The parsed append-only version log, oldest first.
+        """Every shard's parsed append-only version log, in topology
+        order (oldest first within a shard).
 
         Tolerant of a torn tail: an append interrupted by power loss can
         leave one partial final line; it is skipped here and repaired by
         :meth:`fsck`.
         """
-        records, _bad = self._read_log()
+        records: List[dict] = []
+        for shard_records, _bad in self._fan_out(self._read_log):
+            records.extend(shard_records)
         return records
 
-    def _read_log(self) -> Tuple[List[dict], List[int]]:
+    @staticmethod
+    def _read_log(shard_root: Path) -> Tuple[List[dict], List[int]]:
         """(parsed records, 0-based indices of unparseable lines)."""
-        if not self.log_path.exists():
+        log_path = shard_root / "log.jsonl"
+        if not log_path.exists():
             return [], []
         records: List[dict] = []
         bad: List[int] = []
-        for index, line in enumerate(self.log_path.read_text().splitlines()):
+        for index, line in enumerate(log_path.read_text().splitlines()):
             if not line.strip():
                 continue
             try:
@@ -846,7 +1074,7 @@ class MetricCatalogStore:
         definition may be served stale (None = unbounded); torn versions
         are skipped in favour of the newest older good one.
         """
-        entry_dir = self._entry_dir(arch, metric, config_digest)
+        entry_dir = self._key_dir(arch, metric, config_digest)
         for version in reversed(self._versions_in(entry_dir)):
             path = self._version_path(entry_dir, version)
             entry = self._load(path)
@@ -863,19 +1091,17 @@ class MetricCatalogStore:
         return None
 
     # -- fsck & compaction ---------------------------------------------
-    @property
-    def quarantine_root(self) -> Path:
-        return self.root / "quarantine"
-
     def fsck(self, repair: bool = True) -> "FsckReport":
-        """Detect (and with ``repair=True`` fix) crash damage.
+        """Detect (and with ``repair=True`` fix) crash damage in every
+        shard root; paths in the report are relative to :attr:`root`.
 
         Four findings, mirroring the measurement cache's
         checksum-and-quarantine idiom:
 
         * **torn versions** — unparseable ``v*.json`` files (power loss
-          mid-publication): moved under ``quarantine/`` so no code path
-          ever parses them again (``catalog.fsck.quarantined``);
+          mid-publication): moved under the shard root's ``quarantine/``
+          so no code path ever parses them again
+          (``catalog.fsck.quarantined``);
         * **staged leftovers** — ``.staged`` files whose publish never
           completed: deleted;
         * **unlogged versions** — good version files missing from
@@ -887,7 +1113,12 @@ class MetricCatalogStore:
           are reported (the audit record survives in the report).
         """
         report = FsckReport()
-        entries_root = self.root / "entries"
+        self._fan_out(lambda shard_root: self._fsck_shard(shard_root, repair, report))
+        return report
+
+    def _fsck_shard(self, shard_root: Path, repair: bool, report: "FsckReport") -> None:
+        prefix = "" if shard_root == self.root else f"{shard_root.name}/"
+        entries_root = shard_root / "entries"
         on_disk: Dict[Tuple[str, str, str, int], CatalogEntry] = {}
         if entries_root.is_dir():
             for path in sorted(entries_root.rglob("*")):
@@ -907,7 +1138,7 @@ class MetricCatalogStore:
                     report.quarantined.append(rel)
                     get_tracer().incr("catalog.fsck.quarantined")
                     if repair:
-                        dest = self.quarantine_root / rel
+                        dest = shard_root / "quarantine" / path.relative_to(shard_root)
                         dest.parent.mkdir(parents=True, exist_ok=True)
                         if dest.exists():
                             dest = dest.with_suffix(
@@ -919,8 +1150,8 @@ class MetricCatalogStore:
                     (entry.arch, entry.metric, entry.config_digest, entry.version)
                 ] = entry
 
-        records, bad_lines = self._read_log()
-        report.log_torn_lines = len(bad_lines)
+        records, bad_lines = self._read_log(shard_root)
+        report.log_torn_lines += len(bad_lines)
         logged = {
             (
                 r.get("arch"),
@@ -934,13 +1165,13 @@ class MetricCatalogStore:
         for key, entry in sorted(on_disk.items()):
             if key not in logged:
                 report.relogged.append(
-                    f"{key[0]}/{key[1]}/{key[2]}/v{key[3]:04d}"
+                    f"{prefix}{key[0]}/{key[1]}/{key[2]}/v{key[3]:04d}"
                 )
                 relog.append(entry)
         for key in sorted(logged):
             if key not in on_disk and all(v is not None for v in key):
                 report.orphaned_records.append(
-                    f"{key[0]}/{key[1]}/{key[2]}/v{key[3]:04d}"
+                    f"{prefix}{key[0]}/{key[1]}/{key[2]}/v{key[3]:04d}"
                 )
         if repair:
             if bad_lines:
@@ -948,19 +1179,27 @@ class MetricCatalogStore:
                 # durable) *before* re-appending unlogged versions —
                 # rewriting from the pre-append snapshot would discard
                 # the records appended below.
-                self._rewrite_log(records)
+                self._rewrite_log(shard_root, records)
             for entry in relog:
-                self._append_log(entry, entry.content_digest())
+                self._append_log(shard_root, entry, entry.content_digest())
         get_tracer().incr("catalog.fsck.runs")
-        return report
 
     def compact_log(self) -> "LogCompaction":
-        """Compact ``log.jsonl``: drop torn lines, duplicate records, and
-        records whose version file no longer exists (run :meth:`fsck`
-        first so orphans are accounted before their records vanish).
-        The rewrite is atomic and durable."""
-        records, bad = self._read_log()
-        entries_root = self.root / "entries"
+        """Compact every ``log.jsonl``: drop torn lines, duplicate
+        records, and records whose version file no longer exists (run
+        :meth:`fsck` first so orphans are accounted before their records
+        vanish).  Each rewrite is atomic and durable."""
+        before = after = dropped = 0
+        for compaction in self._fan_out(self._compact_shard):
+            before += compaction.records_before
+            after += compaction.records_after
+            dropped += compaction.dropped
+        return LogCompaction(
+            records_before=before, records_after=after, dropped=dropped
+        )
+
+    def _compact_shard(self, shard_root: Path) -> "LogCompaction":
+        records, bad = self._read_log(shard_root)
         kept: Dict[Tuple, dict] = {}
         dropped = len(bad)
         for record in records:
@@ -971,9 +1210,7 @@ class MetricCatalogStore:
                 record.get("version"),
             )
             if all(v is not None for v in key):
-                path = self._version_path(
-                    self._entry_dir(key[0], key[1], key[2]), key[3]
-                )
+                path = self._version_path(self._entry_dir(shard_root, *key[:3]), key[3])
                 if not path.exists():
                     dropped += 1
                     continue
@@ -981,18 +1218,18 @@ class MetricCatalogStore:
                 dropped += 1
             kept[key] = record  # last record wins, order preserved by dict
         before = len(records) + len(bad)
-        self._rewrite_log(list(kept.values()))
+        self._rewrite_log(shard_root, list(kept.values()))
         get_tracer().incr("catalog.log_compactions")
         return LogCompaction(
             records_before=before, records_after=len(kept), dropped=dropped
         )
 
-    def _rewrite_log(self, records: List[dict]) -> None:
+    def _rewrite_log(self, shard_root: Path, records: List[dict]) -> None:
         body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        staged = self.root / f".log.{os.getpid()}.staged"
-        with self._log_lock:
+        staged = shard_root / f".log.{os.getpid()}.staged"
+        with self._log_locks[shard_root]:
             durable_write(staged, body, durable=self.durable)
-            durable_replace(staged, self.log_path, durable=self.durable)
+            durable_replace(staged, shard_root / "log.jsonl", durable=self.durable)
 
 
 @dataclass

@@ -56,11 +56,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.io.digest import sha256_hex
 from repro.obs import get_tracer
-from repro.serve.catalog import FsckReport
+from repro.serve.catalog import FsckReport, MetricCatalogStore
 from repro.serve.chaos import Baseline, baseline_digests, definition_digest
 from repro.serve.client import CatalogClient, RetryPolicy
 from repro.serve.service import MetricService, ServiceError, TransportError
-from repro.serve.shard import open_catalog
 from repro.serve.supervisor import (
     ServiceSupervisor,
     SupervisorConfig,
@@ -533,8 +532,7 @@ def _post_mortem(
 ) -> Tuple[FsckReport, List[str]]:
     """Repair the drill's catalog, then compare every stored entry with
     the baseline.  Returns the fsck report and the violations found."""
-    # The root may be sharded, so open it by inspection.
-    store = open_catalog(catalog_root)
+    store = MetricCatalogStore(catalog_root)
     fsck = store.fsck(repair=True)
     violations: List[str] = []
     for row in store.list_entries():
@@ -662,7 +660,7 @@ def run_load_drill(
 
             store = None
             if catalog_root is not None:
-                store = open_catalog(catalog_root)
+                store = MetricCatalogStore(catalog_root)
             service = MetricService(
                 store, cache_dir=cache_dir, stale_max_age=3600.0
             )

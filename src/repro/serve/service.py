@@ -512,25 +512,19 @@ class MetricService:
         if self.store is None:
             return None
         from repro.core.signatures import signatures_for
-        from repro.serve.shard import ShardUnavailable
 
         arch, config_digest, events_digest, dependencies = request_identity(
             request.system, request.domain, request.seed
         )
         entries: Dict[str, CatalogEntry] = {}
         for signature in signatures_for(request.domain):
-            try:
-                entry = self.store.latest(
-                    arch,
-                    signature.name,
-                    config_digest,
-                    events_digest=events_digest,
-                    event_digests=dependencies,
-                )
-            except ShardUnavailable:
-                # The shard owning this metric is down: treat as a miss
-                # and recompute — the service can still answer fresh.
-                return None
+            entry = self.store.latest(
+                arch,
+                signature.name,
+                config_digest,
+                events_digest=events_digest,
+                event_digests=dependencies,
+            )
             if entry is None:
                 return None
             entries[signature.name] = entry
@@ -550,19 +544,15 @@ class MetricService:
         ):
             return None
         from repro.core.signatures import signatures_for
-        from repro.serve.shard import ShardUnavailable
 
         arch, config_digest, _, _ = request_identity(
             request.system, request.domain, request.seed
         )
         served: Dict[str, ServedMetric] = {}
         for signature in signatures_for(request.domain):
-            try:
-                found = self.store.stale_latest(
-                    arch, signature.name, config_digest, max_age=self.stale_max_age
-                )
-            except ShardUnavailable:
-                return None
+            found = self.store.stale_latest(
+                arch, signature.name, config_digest, max_age=self.stale_max_age
+            )
             if found is None:
                 return None
             entry, age = found
@@ -738,16 +728,14 @@ class MetricService:
             )
         }
         if self.store is not None and job.request.faults is None:
-            from repro.serve.shard import ShardUnavailable
-
             try:
                 entries = {
                     name: self.store.put(entry) for name, entry in entries.items()
                 }
-            except (OSError, ShardUnavailable):
-                # A sick catalog disk (or a down shard) must not fail a
-                # successful analysis: serve the computed (unpersisted)
-                # entries and count the store failure loudly.
+            except OSError:
+                # A sick catalog disk must not fail a successful
+                # analysis: serve the computed (unpersisted) entries and
+                # count the store failure loudly.
                 tracer.incr("serve.catalog_store_errors")
         self._inflight.pop(job.request.key, None)
         if not job.future.done():

@@ -63,7 +63,7 @@ from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import get_tracer
-from repro.serve.catalog import FsckReport
+from repro.serve.catalog import FsckReport, MetricCatalogStore
 from repro.serve.client import http_exchange
 from repro.serve.http import answer_connection, parse_analysis
 from repro.serve.service import (
@@ -72,7 +72,6 @@ from repro.serve.service import (
     TransportError,
     request_identity,
 )
-from repro.serve.shard import open_catalog
 
 __all__ = ["ServiceSupervisor", "SupervisorConfig", "SupervisorServer"]
 
@@ -105,9 +104,9 @@ class SupervisorConfig:
     service_task_timeout: Optional[float] = None
     stale_max_age: Optional[float] = None
     #: Consistent-hash shard count of the catalog root (0 = unsharded).
-    #: With shards, every worker opens the same
-    #: :class:`~repro.serve.shard.ShardedCatalogStore`: any worker can
-    #: read and publish any key, so routing ignores shard ownership.
+    #: With shards, every worker opens the same sharded
+    #: :class:`~repro.serve.catalog.MetricCatalogStore` root: any worker
+    #: can read and publish any key, so routing ignores shard ownership.
     shards: int = 0
 
     def __post_init__(self) -> None:
@@ -153,7 +152,7 @@ def _worker_entry(
 
     store = None
     if catalog_root is not None:
-        store = open_catalog(
+        store = MetricCatalogStore(
             catalog_root,
             shards=config.shards,
             failpoint=chaos.catalog_failpoint if chaos is not None else None,
@@ -259,7 +258,9 @@ class ServiceSupervisor:
         # spawns, so workers always open an agreed-upon ring.
         self._store = None
         if catalog_root is not None:
-            self._store = open_catalog(catalog_root, shards=self.config.shards)
+            self._store = MetricCatalogStore(
+                catalog_root, shards=self.config.shards
+            )
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:

@@ -173,11 +173,6 @@ class ValidationReport:
     def refuted_events(self) -> List[str]:
         return sorted(n for n, v in self.verdicts.items() if v.refuted)
 
-    def accurate_events(self) -> List[str]:
-        return sorted(
-            n for n, v in self.verdicts.items() if v.verdict == ACCURATE
-        )
-
     def verdict_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {v: 0 for v in VERDICTS}
         for verdict in self.verdicts.values():

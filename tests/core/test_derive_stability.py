@@ -85,13 +85,6 @@ class TestSelectionStability:
         }
         assert set(families["L1DM"]) <= allowed
 
-    def test_modal_selection_has_one_event_per_dimension(self):
-        report = selection_stability(
-            lambda seed: aurora_node(seed=seed), "branch", seeds=[5, 6]
-        )
-        modal = report.modal_selection()
-        assert len(modal) == len(report.dimension_carriers)
-
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
             selection_stability(lambda s: aurora_node(seed=s), "branch", seeds=[])

@@ -73,7 +73,7 @@ class TestMeasureWithDeltas:
         assembled, report = measure_with_deltas(
             node, bench, events=registry, repetitions=REPS, cache=cache
         )
-        assert report.full_run and report.reused == 0
+        assert report.reused == 0
         assert report.measured == len(list(registry))
         assert assembled.event_names == full_run.event_names
         assert assembled.data.tobytes() == full_run.data.tobytes()

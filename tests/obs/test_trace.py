@@ -179,9 +179,10 @@ class TestTraceExport:
 
     def test_find_and_children(self):
         trace = self.make_trace()
-        root = trace.find("pipeline")[0]
+        by_path = {s.path: s for s in trace.spans}
+        root = by_path["pipeline"]
         assert [c.name for c in trace.children(root)] == ["measure", "qrcp"]
-        assert trace.find("pipeline/measure")[0].attrs == {"events": 3}
+        assert by_path["pipeline/measure"].attrs == {"events": 3}
 
     def test_counter_totals_sorted(self):
         tracer = Tracer()

@@ -27,7 +27,7 @@ def entries():
 
 
 def _version_file(store, entry):
-    entry_dir = store._entry_dir(entry.arch, entry.metric, entry.config_digest)
+    entry_dir = store._key_dir(entry.arch, entry.metric, entry.config_digest)
     return entry_dir / f"v{entry.version:04d}.json"
 
 
@@ -93,7 +93,7 @@ class TestFsck:
         report = MetricCatalogStore(tmp_path / "cat").fsck(repair=True)
         assert not report.clean
         assert len(report.quarantined) == 1
-        quarantined = MetricCatalogStore(tmp_path / "cat").quarantine_root
+        quarantined = tmp_path / "cat" / "quarantine"
         assert any(quarantined.rglob("v0001.json"))
         # After repair the store fscks clean.
         assert MetricCatalogStore(tmp_path / "cat").fsck().clean
@@ -117,7 +117,7 @@ class TestFsck:
         store = MetricCatalogStore(tmp_path / "cat", failpoint=lambda s: "unlogged")
         stored = store.put(entries[0])
         fresh = MetricCatalogStore(tmp_path / "cat")
-        with fresh.log_path.open("a") as fh:
+        with (fresh.root / "log.jsonl").open("a") as fh:
             fh.write('{"arch": "half a rec')  # no newline: torn tail
         report = fresh.fsck(repair=True)
         assert len(report.relogged) == 1
@@ -139,14 +139,14 @@ class TestFsck:
         store = MetricCatalogStore(tmp_path / "cat")
         store.put(entries[0])
         store.put(entries[1])
-        with store.log_path.open("a") as fh:
+        with (store.root / "log.jsonl").open("a") as fh:
             fh.write('{"arch": "half a rec')  # no newline: torn tail
         fresh = MetricCatalogStore(tmp_path / "cat")
         assert len(fresh.log_records()) == 2  # tolerant read
         report = fresh.fsck(repair=True)
         assert report.log_torn_lines == 1
         # The log is now fully parseable again.
-        lines = store.log_path.read_text().splitlines()
+        lines = (store.root / "log.jsonl").read_text().splitlines()
         assert all(json.loads(line) for line in lines)
         assert fresh.fsck().clean
 
@@ -169,7 +169,7 @@ class TestCompaction:
         store.put(entries[1])
         # Duplicate record for v1 plus a record for a deleted version.
         records = store.log_records()
-        with store.log_path.open("a") as fh:
+        with (store.root / "log.jsonl").open("a") as fh:
             fh.write(json.dumps(records[0]) + "\n")
             dead = dict(records[0], version=99)
             fh.write(json.dumps(dead) + "\n")

@@ -1,15 +1,16 @@
 """Tests for consistent-hash catalog sharding.
 
-The ring's three guarantees are held as hypothesis properties (balance
-within bound, exactly one live owner per key, minimal remap on
-reshard); the :class:`ShardedCatalogStore` tests prove the front is
-behaviourally identical to one unsharded store — routing, deterministic
-fan-out, typed per-shard degradation, and replica invalidation on the
-events-registry digest.
+The ring's guarantees are held as hypothesis properties (deterministic
+routes, balance within bound, minimal remap on reshard); the store
+tests prove a sharded :class:`MetricCatalogStore` root behaves like an
+unsharded one — routing, the same listing, the same bytes in each
+shard directory, per-shard degradation of fan-outs, and replica
+invalidation on the events-registry digest.
 """
 
 import dataclasses
 import json
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -19,14 +20,7 @@ from repro import obs
 from repro.core.pipeline import AnalysisPipeline
 from repro.hardware import aurora_node
 from repro.io.cache import event_set_digest
-from repro.serve import (
-    MetricCatalogStore,
-    ShardRing,
-    ShardUnavailable,
-    ShardedCatalogStore,
-    open_catalog,
-    shard_names,
-)
+from repro.serve import MetricCatalogStore, ShardRing, shard_names
 
 _KEYS = st.tuples(
     st.text(min_size=1, max_size=12), st.text(min_size=1, max_size=24)
@@ -62,35 +56,15 @@ class TestShardRingProperties:
     @settings(max_examples=60, deadline=None)
     def test_lookup_is_deterministic_across_instances(self, key, n):
         """Two processes that agree on the names agree on every route."""
-        a, b = ShardRing.of_size(n), ShardRing.of_size(n)
+        a, b = ShardRing(shard_names(n)), ShardRing(shard_names(n))
         assert a.lookup(*key) == b.lookup(*key)
-
-    @given(
-        key=_KEYS,
-        n=st.integers(min_value=2, max_value=8),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_every_key_maps_to_exactly_one_live_shard(self, key, n, data):
-        """Down shards are walked past; the route stays a function."""
-        ring = ShardRing.of_size(n)
-        down = data.draw(
-            st.sets(st.sampled_from(ring.shards), max_size=n - 1)
-        )
-        owner = ring.lookup(*key, exclude=down)
-        assert owner in ring.shards and owner not in down
-        # A function: the same exclusion set yields the same owner.
-        assert ring.lookup(*key, exclude=down) == owner
-        # Only when *everything* is down does the ring give up, typed.
-        with pytest.raises(ShardUnavailable):
-            ring.lookup(*key, exclude=ring.shards)
 
     @given(n=st.integers(min_value=1, max_value=8))
     @settings(max_examples=20, deadline=None)
     def test_balance_within_bound(self, n):
         """128 vnodes keep every shard within ~2x of its fair share of
         the ring (empirically within ~1.3x; 2x is the alarm bound)."""
-        shares = ShardRing.of_size(n).arc_shares()
+        shares = ShardRing(shard_names(n)).arc_shares()
         assert abs(sum(shares.values()) - 1.0) < 1e-9
         fair = 1.0 / n
         for name, share in shares.items():
@@ -102,8 +76,8 @@ class TestShardRingProperties:
     def test_reshard_moves_keys_only_onto_the_new_shard(self, key, n):
         """The minimality property, exactly: growing N -> N+1 either
         leaves a key where it was or moves it onto the new shard."""
-        old_owner = ShardRing.of_size(n).lookup(*key)
-        new_owner = ShardRing.of_size(n + 1).lookup(*key)
+        old_owner = ShardRing(shard_names(n)).lookup(*key)
+        new_owner = ShardRing(shard_names(n + 1)).lookup(*key)
         if new_owner != old_owner:
             assert new_owner == shard_names(n + 1)[-1]
 
@@ -113,8 +87,8 @@ class TestShardRingProperties:
         reshuffle of everything."""
         keys = [("arch", f"metric-{i}") for i in range(2000)]
         for n in (2, 4, 7):
-            before = ShardRing.of_size(n)
-            after = ShardRing.of_size(n + 1)
+            before = ShardRing(shard_names(n))
+            after = ShardRing(shard_names(n + 1))
             moved = sum(1 for k in keys if before.lookup(*k) != after.lookup(*k))
             new_share = after.arc_shares()[shard_names(n + 1)[-1]]
             fraction = moved / len(keys)
@@ -131,25 +105,41 @@ class TestShardRingProperties:
             ShardRing(["a"], vnodes=0)
 
 
+def _owner(n_shards, entry):
+    return ShardRing(shard_names(n_shards)).lookup(entry.arch, entry.metric)
+
+
+def _take_down(shard_root, arch):
+    """Replace a shard's arch directory by a file: listing it raises an
+    I/O error, and reads of its keys find nothing."""
+    arch_dir = shard_root / "entries" / arch
+    shutil.rmtree(arch_dir)
+    arch_dir.write_text("not a directory")
+
+
+def _files(root):
+    return sorted(
+        str(path.relative_to(root)) for path in root.rglob("*") if path.is_file()
+    )
+
+
 class TestShardedStoreRouting:
     def test_put_routes_to_ring_owner_and_round_trips(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=3)
+        store = MetricCatalogStore(tmp_path, shards=3)
         for entry in entries:
             stored = store.put(entry)
-            owner = store.shard_for(entry.arch, entry.metric)
-            on_disk = store.shard_store(owner).latest(
-                entry.arch, entry.metric, entry.config_digest
-            )
-            assert on_disk is not None and on_disk.version == stored.version
-            # Exactly one shard holds the key.
-            for other in store.shards:
-                if other != owner:
-                    assert (
-                        store.shard_store(other).latest(
-                            entry.arch, entry.metric, entry.config_digest
-                        )
-                        is None
-                    )
+            owner = _owner(3, entry)
+            # Each shard directory is itself an unsharded root, and
+            # exactly one of them holds the key.
+            for other in store.ring.shards:
+                on_disk = MetricCatalogStore(tmp_path / other).latest(
+                    entry.arch, entry.metric, entry.config_digest
+                )
+                if other == owner:
+                    assert on_disk is not None
+                    assert on_disk.version == stored.version
+                else:
+                    assert on_disk is None
         got = store.latest(
             entries[0].arch, entries[0].metric, entries[0].config_digest
         )
@@ -157,10 +147,10 @@ class TestShardedStoreRouting:
         assert got.coefficients_hex == entries[0].coefficients_hex
 
     def test_reopen_reads_manifest_and_rejects_mismatch(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=3)
+        store = MetricCatalogStore(tmp_path, shards=3)
         store.put(entries[0])
-        reopened = ShardedCatalogStore(tmp_path)  # no n_shards: manifest rules
-        assert reopened.shards == store.shards
+        reopened = MetricCatalogStore(tmp_path)  # shards=0: manifest rules
+        assert reopened.ring.shards == store.ring.shards
         assert (
             reopened.latest(
                 entries[0].arch, entries[0].metric, entries[0].config_digest
@@ -168,28 +158,61 @@ class TestShardedStoreRouting:
             is not None
         )
         with pytest.raises(ValueError, match="re-partition"):
-            ShardedCatalogStore(tmp_path, n_shards=5)
+            MetricCatalogStore(tmp_path, shards=5)
 
     def test_unreadable_manifest_format_is_an_error(self, tmp_path):
-        store = ShardedCatalogStore(tmp_path, n_shards=2)
-        store.manifest_path.write_text(json.dumps({"format": 99, "shards": []}))
+        MetricCatalogStore(tmp_path, shards=2)
+        (tmp_path / "shards.json").write_text(
+            json.dumps({"format": 99, "shards": []})
+        )
         with pytest.raises(ValueError, match="format"):
-            ShardedCatalogStore(tmp_path)
+            MetricCatalogStore(tmp_path)
 
-    def test_open_catalog_dispatches_by_manifest(self, tmp_path):
-        plain = open_catalog(tmp_path / "plain")
-        assert isinstance(plain, MetricCatalogStore)
-        sharded = open_catalog(tmp_path / "sharded", shards=2)
-        assert isinstance(sharded, ShardedCatalogStore)
+    def test_manifest_decides_the_layout(self, tmp_path):
+        plain = MetricCatalogStore(tmp_path / "plain")
+        assert plain.ring is None
+        assert not (tmp_path / "plain" / "shards.json").exists()
+        sharded = MetricCatalogStore(tmp_path / "sharded", shards=2)
+        assert sharded.ring.shards == ("shard-00", "shard-01")
         # A root that carries shards.json opens sharded with no hint.
-        again = open_catalog(tmp_path / "sharded")
-        assert isinstance(again, ShardedCatalogStore)
-        assert again.shards == sharded.shards
+        again = MetricCatalogStore(tmp_path / "sharded")
+        assert again.ring.shards == sharded.ring.shards
+
+    def test_sharding_a_root_with_unsharded_entries_is_an_error(
+        self, tmp_path, entries
+    ):
+        """Writing shards.json over unsharded entries would route every
+        read to an empty shard directory: every entry would vanish."""
+        plain = MetricCatalogStore(tmp_path)
+        for entry in entries:
+            plain.put(entry)
+        with pytest.raises(ValueError, match="unsharded entries"):
+            MetricCatalogStore(tmp_path, shards=2)
+        assert not (tmp_path / "shards.json").exists()
+        assert len(MetricCatalogStore(tmp_path).list_entries()) == len(entries)
+
+    def test_manifest_is_published_durably(self, tmp_path, monkeypatch):
+        import repro.serve.catalog as catalog
+
+        published = []
+        real = catalog.durable_replace
+
+        def spy(staged, final, *, durable=True):
+            published.append((final, durable))
+            real(staged, final, durable=durable)
+
+        monkeypatch.setattr(catalog, "durable_replace", spy)
+        MetricCatalogStore(tmp_path / "durable", shards=2)
+        MetricCatalogStore(tmp_path / "fast", shards=2, durable=False)
+        assert published == [
+            (tmp_path / "durable" / "shards.json", True),
+            (tmp_path / "fast" / "shards.json", False),
+        ]
 
     def test_history_and_diff_route_to_the_owner(self, tmp_path, entries):
         from repro.serve.catalog import _coeffs_to_hex
 
-        store = ShardedCatalogStore(tmp_path, n_shards=3)
+        store = MetricCatalogStore(tmp_path, shards=3)
         base = store.put(entries[0])
         coeffs = entries[0].coefficients.copy()
         coeffs[0] = coeffs[0] + 2.0**-48
@@ -206,81 +229,119 @@ class TestShardedStoreRouting:
         assert not diff.identical
 
 
+class TestOnDiskLayout:
+    """The bytes a put leaves behind, pinned for both root kinds: roots
+    written before sharding lived in the store keep opening unchanged."""
+
+    MANIFEST = (
+        '{\n  "format": 1,\n  "shards": [\n    "shard-00",\n'
+        '    "shard-01"\n  ],\n  "vnodes": 128\n}\n'
+    )
+
+    def test_unsharded_and_sharded_put_paths_and_bytes(self, tmp_path, entries):
+        entry = entries[0]
+        plain = MetricCatalogStore(tmp_path / "plain")
+        sharded = MetricCatalogStore(tmp_path / "sharded", shards=2)
+        plain.put(entry)
+        sharded.put(entry)
+        assert entry.config_digest == "43a3308ce011f55c"
+        version = (
+            "entries/aurora-spr/unconditional-branches-64f9fcae/"
+            "43a3308ce011f55c/v0001.json"
+        )
+        assert _files(tmp_path / "plain") == [version, "log.jsonl"]
+        owner = _owner(2, entry)
+        assert owner == "shard-01"
+        assert _files(tmp_path / "sharded") == [
+            f"{owner}/{version}",
+            f"{owner}/log.jsonl",
+            "shards.json",
+        ]
+        assert (tmp_path / "sharded" / "shards.json").read_text() == self.MANIFEST
+        for name in (version, "log.jsonl"):
+            assert (tmp_path / "plain" / name).read_bytes() == (
+                tmp_path / "sharded" / owner / name
+            ).read_bytes()
+
+
 class TestShardedFanOut:
-    """Cross-shard list/diff/fsck coverage (satellite S3)."""
+    """Cross-shard list, log, fsck and compaction coverage."""
 
     def test_listing_is_deterministic_and_matches_unsharded(
         self, tmp_path, entries
     ):
-        sharded = ShardedCatalogStore(tmp_path / "sharded", n_shards=3)
+        sharded = MetricCatalogStore(tmp_path / "sharded", shards=3)
         plain = MetricCatalogStore(tmp_path / "plain")
         for entry in entries:
             sharded.put(entry)
             plain.put(entry)
         rows = sharded.list_entries()
         assert rows == sharded.list_entries()  # stable order
-        assert rows == sorted(
-            plain.list_entries(),
-            key=lambda r: (r["arch"], r["metric"], r["config_digest"]),
-        )
+        assert rows == plain.list_entries()
+        assert [r["metric"] for r in rows] == sorted(e.metric for e in entries)
 
     def test_down_shard_degrades_its_keys_not_the_listing(
         self, tmp_path, entries
     ):
-        store = ShardedCatalogStore(tmp_path, n_shards=3)
+        store = MetricCatalogStore(tmp_path, shards=3)
         for entry in entries:
             store.put(entry)
-        owners = {e.metric: store.shard_for(e.arch, e.metric) for e in entries}
+        owners = {e.metric: _owner(3, e) for e in entries}
         victim = owners[entries[0].metric]
         survivors = [m for m, owner in owners.items() if owner != victim]
+        assert survivors
+        # One shard's disk goes bad: its arch directory cannot be read.
+        _take_down(tmp_path / victim, entries[0].arch)
         with obs.tracing(seed=7) as tracer:
-            store.mark_down(victim)
-            # Keyed ops on the down shard: typed 503, scoped to the shard.
-            with pytest.raises(ShardUnavailable) as err:
+            # Keyed reads of the down shard miss; nothing raises.
+            assert (
                 store.latest(
                     entries[0].arch,
                     entries[0].metric,
                     entries[0].config_digest,
                 )
-            assert err.value.status == 503
-            assert err.value.payload["shard"] == victim
-            assert err.value.payload["retry"] is True
+                is None
+            )
             # The listing still answers, minus the down shard's rows.
             rows = store.list_entries()
             assert store.degraded_shards == (victim,)
-            listed = {r["metric"] for r in rows}
-            assert set(survivors) <= listed
-            assert all(owners[m] != victim for m in listed)
-            assert tracer.counters["shard.degraded_reads"] >= 2
-        store.mark_up(victim)
-        assert (
-            store.latest(
-                entries[0].arch, entries[0].metric, entries[0].config_digest
+            assert {r["metric"] for r in rows} == set(survivors)
+            assert tracer.counters["shard.degraded_reads"] == 1
+        by_metric = {e.metric: e for e in entries}
+        for metric in survivors:
+            entry = by_metric[metric]
+            assert (
+                store.latest(entry.arch, entry.metric, entry.config_digest)
+                is not None
             )
-            is not None
-        )
-        assert {r["metric"] for r in store.list_entries()} == set(owners)
+
+    def test_unsharded_root_io_errors_raise(self, tmp_path, entries):
+        store = MetricCatalogStore(tmp_path)
+        store.put(entries[0])
+        _take_down(tmp_path, entries[0].arch)
+        with pytest.raises(OSError):
+            store.list_entries()
 
     def test_fsck_merges_reports_with_shard_prefixed_paths(
         self, tmp_path, entries
     ):
-        store = ShardedCatalogStore(tmp_path, n_shards=3)
+        store = MetricCatalogStore(tmp_path, shards=3)
         for entry in entries:
             store.put(entry)
         clean = store.fsck(repair=True)
         assert clean.clean and clean.scanned == len(entries)
         # Tear one version file in whichever shard owns the first entry.
-        owner = store.shard_for(entries[0].arch, entries[0].metric)
-        victim_dir = tmp_path / owner
-        torn = next(victim_dir.rglob("v*.json"))
+        owner = _owner(3, entries[0])
+        torn = next((tmp_path / owner).rglob("v*.json"))
         torn.write_text(torn.read_text()[: len(torn.read_text()) // 2])
-        report = ShardedCatalogStore(tmp_path).fsck(repair=True)
+        report = MetricCatalogStore(tmp_path).fsck(repair=True)
         assert not report.clean
         assert len(report.quarantined) == 1
         assert report.quarantined[0].startswith(f"{owner}/")
+        assert any((tmp_path / owner / "quarantine").rglob("v*.json"))
 
     def test_compact_log_sums_across_shards(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=3)
+        store = MetricCatalogStore(tmp_path, shards=3)
         for entry in entries:
             store.put(entry)
         assert len(store.log_records()) == len(entries)
@@ -291,7 +352,7 @@ class TestShardedFanOut:
 
 class TestReadReplicas:
     def test_fresh_read_is_replicated_and_hit(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=2)
+        store = MetricCatalogStore(tmp_path, shards=2)
         entry = entries[0]
         store.put(entry)
         with obs.tracing(seed=7) as tracer:
@@ -301,7 +362,7 @@ class TestReadReplicas:
                 entry.config_digest,
                 events_digest=entry.events_digest,
             )
-            assert first is not None and store.replica_count == 1
+            assert first is not None and len(store._replicas) == 1
             again = store.latest(
                 entry.arch,
                 entry.metric,
@@ -313,8 +374,23 @@ class TestReadReplicas:
             # The replica hit skipped the disk route.
             assert tracer.counters["shard.routes"] == 1
 
+    def test_unsharded_root_is_fronted_by_replicas(self, tmp_path, entries):
+        store = MetricCatalogStore(tmp_path)
+        entry = entries[0]
+        store.put(entry)
+        with obs.tracing(seed=7) as tracer:
+            for _ in range(3):
+                store.latest(
+                    entry.arch,
+                    entry.metric,
+                    entry.config_digest,
+                    event_digests=entry.event_digests,
+                )
+            assert tracer.counters["shard.replica_hits"] == 2
+            assert tracer.counters["catalog.hits"] == 1
+
     def test_registry_edit_invalidates_replica(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=2)
+        store = MetricCatalogStore(tmp_path, shards=2)
         entry = entries[0]
         store.put(entry)
         with obs.tracing(seed=7) as tracer:
@@ -324,7 +400,7 @@ class TestReadReplicas:
                 entry.config_digest,
                 events_digest=entry.events_digest,
             )
-            assert store.replica_count == 1
+            assert len(store._replicas) == 1
             # The registry moved: the caller's digest changed, so the
             # replica must not answer — and the disk read (also
             # staleness-checked) refuses too.
@@ -335,11 +411,11 @@ class TestReadReplicas:
                 events_digest="0" * 16,
             )
             assert stale is None
-            assert store.replica_count == 0
+            assert len(store._replicas) == 0
             assert tracer.counters["shard.replica_invalidations"] == 1
 
     def test_write_invalidates_replica(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=2)
+        store = MetricCatalogStore(tmp_path, shards=2)
         entry = entries[0]
         store.put(entry)
         store.latest(
@@ -348,12 +424,12 @@ class TestReadReplicas:
             entry.config_digest,
             events_digest=entry.events_digest,
         )
-        assert store.replica_count == 1
+        assert len(store._replicas) == 1
         store.put(entry)
-        assert store.replica_count == 0
+        assert len(store._replicas) == 0
 
     def test_unchecked_reads_are_not_cached(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=2)
+        store = MetricCatalogStore(tmp_path, shards=2)
         store.put(entries[0])
         assert (
             store.latest(
@@ -361,10 +437,11 @@ class TestReadReplicas:
             )
             is not None
         )
-        assert store.replica_count == 0  # no freshness evidence, no replica
+        assert len(store._replicas) == 0  # no freshness evidence, no replica
 
-    def test_replica_capacity_is_lru_bounded(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=2, replica_capacity=2)
+    def test_replica_capacity_is_lru_bounded(self, tmp_path, entries, monkeypatch):
+        monkeypatch.setattr(MetricCatalogStore, "_REPLICA_CAPACITY", 2)
+        store = MetricCatalogStore(tmp_path, shards=2)
         for entry in entries[:3]:
             store.put(entry)
             store.latest(
@@ -373,18 +450,6 @@ class TestReadReplicas:
                 entry.config_digest,
                 events_digest=entry.events_digest,
             )
-        assert store.replica_count == 2
-
-    def test_mark_down_clears_replicas(self, tmp_path, entries):
-        store = ShardedCatalogStore(tmp_path, n_shards=2)
-        entry = entries[0]
-        store.put(entry)
-        store.latest(
-            entry.arch,
-            entry.metric,
-            entry.config_digest,
-            events_digest=entry.events_digest,
-        )
-        assert store.replica_count == 1
-        store.mark_down(store.shards[0])
-        assert store.replica_count == 0
+        assert list(store._replicas) == [
+            (e.arch, e.metric, e.config_digest) for e in entries[1:3]
+        ]

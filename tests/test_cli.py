@@ -115,6 +115,29 @@ class TestCatalogVerbs:
         assert "Mispredicted Branches." in out
         assert "v1" in out
 
+    def test_serve_shards_over_unsharded_catalog_is_two(self, capsys, catalog_root):
+        # Writing shards.json over unsharded entries would hide them all.
+        for extra in ([], ["--supervise", "2"]):
+            argv = ["serve", "--catalog", str(catalog_root), "--shards", "2"]
+            assert exit_code(argv + ["--port", "0"] + extra) == 2
+        assert "unsharded entries" in capsys.readouterr().err
+        assert not (catalog_root / "shards.json").exists()
+        assert exit_code(["catalog", "list", "--root", str(catalog_root)]) == 0
+        assert "Mispredicted Branches." in capsys.readouterr().out
+
+    def test_serve_shard_count_mismatch_is_two(self, capsys, tmp_path):
+        from repro.serve import MetricCatalogStore
+
+        MetricCatalogStore(tmp_path / "catalog", shards=2)
+        argv = ["serve", "--catalog", str(tmp_path / "catalog"), "--shards", "3"]
+        assert exit_code(argv + ["--port", "0"]) == 2
+        assert "re-partition" in capsys.readouterr().err
+
+    def test_foreign_manifest_is_two(self, capsys, tmp_path):
+        (tmp_path / "shards.json").write_text('{"format": 99}')
+        assert exit_code(["catalog", "list", "--root", str(tmp_path)]) == 2
+        assert "manifest format 99" in capsys.readouterr().err
+
     def test_list_empty(self, capsys, tmp_path):
         assert exit_code(["catalog", "list", "--root", str(tmp_path / "empty")]) == 0
         assert "empty" in capsys.readouterr().out

@@ -1,9 +1,10 @@
-"""Every public top-level function and class in ``src/repro`` has a caller.
+"""Every public function, class and method in ``src/repro`` has a caller.
 
 A name that only ``tests/`` reference is code no program path runs: it
 costs reading, review and upkeep and shows nothing.  This test parses the
-package and fails on any public top-level ``def`` or ``class`` that is
-referenced nowhere a program could reach it.
+package and fails on any public top-level ``def`` or ``class``, and any
+public method or property of a top-level class, that is referenced
+nowhere a program could reach it.
 
 A reference is a ``Name``, an ``Attribute`` or an ``ImportFrom`` alias
 spelling the name.  It counts when it sits
@@ -13,9 +14,13 @@ spelling the name.  It counts when it sits
 * in the defining module, outside the name's own definition, or
 * anywhere in ``.github/workflows/ci.yml`` (as a whole word).
 
+A method counts as referenced by any attribute of its name, whatever
+the object: the check is by name, so a method shares its fate with
+every same-named method of another class.
+
 Re-exports in ``__init__.py`` files do not count: they make a name
 importable, not used.  Names kept on purpose without a caller go in
-:data:`KEEP` with the reason.
+:data:`KEEP` with the reason; methods are keyed ``Class.method``.
 
 The same holds one level down: every name a non-``__init__`` module
 binds with a module-level ``import`` or ``from ... import`` must be read
@@ -54,9 +59,61 @@ KEEP: Dict[str, str] = {
         "only constructor of the 'quantized' NoiseModel kind, whose "
         "repr feeds every event-set digest and cache key"
     ),
+    # Reference implementations and test instruments.
+    "Activity.to_vector": (
+        "one-record form of PackedWeights.pack_activities; the vectorized "
+        "registry tests hold the batched path against it"
+    ),
+    "Activity.as_dict": (
+        "plain-dict view the hardware tests compare simulated activities "
+        "through, byte for byte"
+    ),
+    "SimulatedCPU.run_pointer_chase_trace": (
+        "exact trace-driven reference the closed-form dcache engine is "
+        "held against (test_chase_engines, docs/substrate.md)"
+    ),
+    "CacheConfig.capacity_lines": (
+        "line capacity the reference chase engine of test_chase_engines "
+        "sizes its levels from"
+    ),
+    "RawEvent.responds_to": (
+        "test_catalogs checks which activity keys an event reads through it"
+    ),
+    "ShardRing.arc_shares": "balance diagnostic the ring's property tests bound",
+    "MetricCatalogStore.log_records": (
+        "reads every shard's version log; the catalog, fsck and service "
+        "tests check the audit trail through it"
+    ),
+    "CatalogClient.catalog_entry": (
+        "client half of GET /v1/catalog/{arch}/{metric}; test_http drives "
+        "the endpoint through it"
+    ),
+    "Tracer.gauge": (
+        "writes the gauge record that trace export, import and rendering "
+        "carry (docs/observability.md); the obs tests round-trip it"
+    ),
+    # The modelled PAPI surface (DESIGN.md's PAPI row).
+    "Component.native_avail": "models papi_native_avail",
+    "EventSet.cleanup": "models PAPI_cleanup_eventset in the EventSet lifecycle",
+    "HighLevelMonitor.measure_region": (
+        "the entry point of HighLevelMonitor, kept above"
+    ),
+    # No caller but their own unit tests; retire each with its test.
+    "Activity.accumulate": "only test_activity::test_accumulate calls it",
+    "Activity.with_counts": "only test_activity::test_with_counts_overwrites calls it",
+    "MeasurementSet.thread_median": (
+        "only test_measurement_runner::test_thread_median and one "
+        "metadata assertion in io/test_cache call it"
+    ),
+    "CounterSchedule.run_of": "only test_pmu_tlb_gpu::test_run_of calls it",
+    "CacheLevel.reset": "only test_cache::test_reset calls it",
+    "LocalHistoryPredictor.reset": (
+        "only test_branch::test_reset_clears_training calls it"
+    ),
 }
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
 
 
 def _referenced(node: ast.AST) -> Counter:
@@ -81,9 +138,25 @@ def _referenced(node: ast.AST) -> Counter:
     return Counter(names)
 
 
+def _public_defs(stmt: ast.stmt, own: Counter) -> List[Tuple[str, str, Counter]]:
+    """``(label, name, references inside it)`` of the public definitions
+    one module-level statement makes: a def or class, and the methods of
+    any top-level class (labelled ``Class.method``)."""
+    if not isinstance(stmt, _DEFS):
+        return []
+    defs = [] if stmt.name.startswith("_") else [(stmt.name, stmt.name, own)]
+    if isinstance(stmt, ast.ClassDef):
+        defs += [
+            (f"{stmt.name}.{sub.name}", sub.name, _referenced(sub))
+            for sub in stmt.body
+            if isinstance(sub, _FUNCS) and not sub.name.startswith("_")
+        ]
+    return defs
+
+
 @lru_cache(maxsize=None)
 def dead_names() -> Tuple[Tuple[str, str], ...]:
-    """``(module path, name)`` of every unreferenced public definition."""
+    """``(module path, label)`` of every unreferenced public definition."""
     callers: Counter = Counter()  # references in non-__init__ files
     modules = []
     for folder in CALLER_DIRS:
@@ -102,24 +175,22 @@ def dead_names() -> Tuple[Tuple[str, str], ...]:
 
     dead = []
     for path, per_stmt, in_file, counted in modules:
-        for stmt, own in per_stmt:
-            if not isinstance(stmt, _DEFS) or stmt.name.startswith("_"):
-                continue
-            name = stmt.name
-            elsewhere = callers[name] - (in_file[name] if counted else 0)
-            if elsewhere or in_file[name] > own[name]:
-                continue
-            if re.search(rf"\b{re.escape(name)}\b", ci_text):
-                continue
-            dead.append((str(path.relative_to(ROOT)), name))
+        for stmt, stmt_refs in per_stmt:
+            for label, name, own in _public_defs(stmt, stmt_refs):
+                elsewhere = callers[name] - (in_file[name] if counted else 0)
+                if elsewhere or in_file[name] > own[name]:
+                    continue
+                if re.search(rf"\b{re.escape(name)}\b", ci_text):
+                    continue
+                dead.append((str(path.relative_to(ROOT)), label))
     return tuple(dead)
 
 
 def test_every_public_name_has_a_caller():
     dead = [(path, name) for path, name in dead_names() if name not in KEEP]
     assert not dead, (
-        "public names with no caller outside tests/ (delete them, or add "
-        "them to KEEP with a reason):\n"
+        "public names and methods with no caller outside tests/ (delete "
+        "them, or add them to KEEP with a reason):\n"
         + "\n".join(f"  {path}: {name}" for path, name in dead)
     )
 

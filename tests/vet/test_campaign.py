@@ -21,7 +21,7 @@ class TestHealthyCampaign:
         assert healthy_report.refuted_events() == []
 
     def test_vets_a_substantial_set(self, healthy_report):
-        assert len(healthy_report.accurate_events()) >= 50
+        assert healthy_report.verdict_counts()[ACCURATE] >= 50
 
     def test_unvetted_disjoint_from_verdicts(self, healthy_report):
         assert not set(healthy_report.unvetted) & set(healthy_report.verdicts)

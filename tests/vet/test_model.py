@@ -86,7 +86,8 @@ class TestValidationReport:
     def test_refuted_and_accurate_partitions(self):
         report = _report()
         assert report.refuted_events() == ["BAD"]
-        assert report.accurate_events() == ["GOOD"]
+        accurate = [n for n, v in report.verdicts.items() if v.verdict == ACCURATE]
+        assert accurate == ["GOOD"]
 
     def test_verdict_counts_include_unvetted(self):
         counts = _report().verdict_counts()
