@@ -26,7 +26,7 @@ read as zero, mirroring a counter that never fires.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -237,21 +237,6 @@ class Activity(Mapping[str, float]):
         for other in others:
             for k, v in other.items():
                 out[k] = out.get(k, 0.0) + v
-        return Activity(out)
-
-    @staticmethod
-    def accumulate(parts: Iterable["Activity"]) -> "Activity":
-        """Sum an iterable of activity records."""
-        out: Dict[str, float] = {}
-        for part in parts:
-            for k, v in part.items():
-                out[k] = out.get(k, 0.0) + v
-        return Activity(out)
-
-    def with_counts(self, **updates: float) -> "Activity":
-        """Return a copy with the given keys overwritten."""
-        out = dict(self._counts)
-        out.update(updates)
         return Activity(out)
 
     # Vectorization ---------------------------------------------------------

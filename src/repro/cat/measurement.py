@@ -91,17 +91,6 @@ class MeasurementSet:
             ) from None
 
     # Views -----------------------------------------------------------------
-    def thread_median(self) -> "MeasurementSet":
-        """Collapse threads by the median (the paper's cache de-noising)."""
-        collapsed = np.median(self.data, axis=1, keepdims=True)
-        return MeasurementSet(
-            benchmark=self.benchmark,
-            row_labels=list(self.row_labels),
-            event_names=list(self.event_names),
-            data=collapsed,
-            pmu_runs=self.pmu_runs,
-        )
-
     def repetition_vectors(self, event: str) -> np.ndarray:
         """Per-repetition measurement vectors of one event, threads
         collapsed by median: shape ``(reps, rows)``."""

@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--no-counters",
         action="store_true",
-        help="omit the counter/gauge tables from the summary tree",
+        help="omit the counter table from the summary tree",
     )
 
     faults = sub.add_parser("faults", help="fault-injection utilities")
@@ -267,23 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fault specification (same grammar as sweep --faults)",
     )
     demo.add_argument(
-        "--summary", action="store_true", help="also print the pipeline summary"
-    )
-
-    guard = sub.add_parser("guard", help="numerical-robustness utilities")
-    guard_sub = guard.add_subparsers(dest="guard_command", required=True)
-    smoke = guard_sub.add_parser(
-        "smoke",
-        help="run a deliberately ill-conditioned catalog and verify the "
-        "guards degrade it to caution (never certified, never a crash)",
-    )
-    smoke.add_argument("--seed", type=int, default=2024)
-    smoke.add_argument(
-        "--strict",
-        action="store_true",
-        help="expect strict mode to raise, naming the forged columns",
-    )
-    smoke.add_argument(
         "--summary", action="store_true", help="also print the pipeline summary"
     )
 
@@ -593,14 +576,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vet_drift.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
-    vet_smoke = vet_sub.add_parser(
-        "smoke",
-        help="seeded end-to-end scenario: a forged overcounting event "
-        "must be refuted and excluded while a healthy catalog stays "
-        "bit-identical",
-    )
-    vet_smoke.add_argument("--seed", type=int, default=2024)
-
     ingest = sub.add_parser(
         "ingest",
         help="ingest real perf/PAPI collector files: parse, assemble, and "
@@ -1012,23 +987,16 @@ def _vet_main(args) -> int:
             print(report.summary())
         return 0
 
-    if args.vet_command == "drift":
-        from repro.vet import detect_drift
+    # vet_command == "drift"
+    from repro.vet import detect_drift
 
-        store = _catalog_store(args.root, "vet drift")
-        report = detect_drift(store, arch=args.arch)
-        if args.json:
-            print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
-        else:
-            print(report.summary())
-        return 1 if report.flagged else 0
-
-    # vet_command == "smoke"
-    from repro.vet import run_vet_smoke
-
-    outcome = run_vet_smoke(seed=args.seed)
-    print(outcome.describe())
-    return 0 if outcome.passed else 1
+    store = _catalog_store(args.root, "vet drift")
+    report = detect_drift(store, arch=args.arch)
+    if args.json:
+        print(json.dumps(report.to_payload(), indent=2, sort_keys=True))
+    else:
+        print(report.summary())
+    return 1 if report.flagged else 0
 
 
 def _ingest_main(args) -> int:
@@ -1141,17 +1109,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
         else:
             print(render_trace(trace, show_counters=not args.no_counters))
         return 0
-
-    if args.command == "guard":
-        # guard smoke: the ill-conditioned catalog must degrade, not crash.
-        from repro.guard.smoke import run_smoke
-
-        outcome = run_smoke(seed=args.seed, strict=args.strict)
-        print(outcome.describe())
-        if args.summary and outcome.result is not None:
-            print()
-            print(outcome.result.summary())
-        return 0 if outcome.passed else 1
 
     if args.command == "serve":
         import asyncio

@@ -35,18 +35,18 @@ responses bit-identical to single-service serving).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.faults.injector import _site_rng
-from repro.faults.model import FaultRecord
+from repro.faults.model import FaultRecord, _parse_spec, _RateConfig
 from repro.obs import get_tracer
 
 __all__ = ["ChaosConfig", "ChaosInjector", "parse_chaos_spec"]
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(_RateConfig):
     """Rates of every injectable serve-layer pathology.
 
     All rates default to zero: a default config injects nothing.
@@ -91,41 +91,11 @@ class ChaosConfig:
     latency_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in (
-            "worker_kill_rate",
-            "worker_hang_rate",
-            "torn_publication_rate",
-            "unlogged_publication_rate",
-            "socket_drop_rate",
-            "latency_rate",
-        ):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]; got {rate}")
+        super().__post_init__()
         if self.hang_seconds < 0:
             raise ValueError("hang_seconds must be >= 0")
         if self.latency_seconds < 0:
             raise ValueError("latency_seconds must be >= 0")
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this config can inject anything at all."""
-        return any(
-            getattr(self, f.name) > 0
-            for f in fields(self)
-            if f.name.endswith("_rate")
-        )
-
-    def describe(self) -> str:
-        """Compact ``key=value`` rendering of the nonzero knobs."""
-        parts = [f"seed={self.seed}"]
-        for f in fields(self):
-            if f.name == "seed":
-                continue
-            value = getattr(self, f.name)
-            if value != f.default:
-                parts.append(f"{f.name}={value}")
-        return ",".join(parts)
 
 
 #: kind name (as consulted by the serving tier) -> rate field
@@ -151,8 +121,6 @@ _SPEC_ALIASES: Dict[str, str] = {
     "latency": "latency_rate",
 }
 
-_INT_FIELDS = ("seed",)
-
 
 def parse_chaos_spec(spec: str) -> ChaosConfig:
     """Parse a compact CLI chaos spec into a :class:`ChaosConfig`.
@@ -161,28 +129,7 @@ def parse_chaos_spec(spec: str) -> ChaosConfig:
 
         seed=7,kill=0.2,torn=0.3,drop=0.1,latency=0.5,latency_seconds=0.01
     """
-    valid = {f.name for f in fields(ChaosConfig)}
-    kwargs: Dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"bad chaos spec term {part!r}: expected key=value")
-        key, _, raw = part.partition("=")
-        key = key.strip()
-        field_name = _SPEC_ALIASES.get(key, key)
-        if field_name not in valid:
-            raise ValueError(
-                f"unknown chaos spec key {key!r}; known keys: "
-                f"{sorted(valid | set(_SPEC_ALIASES))}"
-            )
-        raw = raw.strip()
-        if field_name in _INT_FIELDS:
-            kwargs[field_name] = int(raw)
-        else:
-            kwargs[field_name] = float(raw)
-    return ChaosConfig(**kwargs)
+    return _parse_spec(ChaosConfig, spec, _SPEC_ALIASES, "chaos")
 
 
 class ChaosInjector:

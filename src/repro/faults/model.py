@@ -38,8 +38,74 @@ class InjectedWorkerCrash(RuntimeError):
     """A sweep worker was killed mid-task by the fault injector."""
 
 
+class _RateConfig:
+    """What :class:`FaultConfig` and
+    :class:`~repro.faults.chaos.ChaosConfig` share: every field named
+    ``*_rate`` is a probability in ``[0, 1]``, the config injects
+    something iff one of them (and its gate in ``_GATES``, if any) is
+    nonzero, and both render and parse as the same ``key=value`` spec."""
+
+    #: rate field -> companion field that must also be nonzero to fire
+    _GATES: Dict[str, str] = {}
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            rate = getattr(self, f.name)
+            if f.name.endswith("_rate") and not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{f.name} must be in [0, 1]; got {rate}")
+
+    @property
+    def enabled(self) -> bool:
+        """Whether this config can inject anything at all."""
+        return any(
+            getattr(self, f.name) > 0
+            and getattr(self, self._GATES.get(f.name, f.name)) > 0
+            for f in fields(self)
+            if f.name.endswith("_rate")
+        )
+
+    def describe(self) -> str:
+        """Compact ``key=value`` rendering of the non-default knobs."""
+        parts = [f"seed={self.seed}"]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            both_nan = value != value and f.default != f.default
+            if f.name != "seed" and value != f.default and not both_nan:
+                parts.append(f"{f.name}={value}")
+        return ",".join(parts)
+
+
+def _parse_spec(cls, spec: str, aliases: Dict[str, str], what: str):
+    """Parse ``key=value[,key=value...]`` into ``cls``; a key is a field
+    name or one of ``aliases``, and each value is read as the type of its
+    field's default (``1/true/yes/on`` are true for a bool)."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs: Dict[str, object] = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise ValueError(f"bad {what} spec term {part!r}: expected key=value")
+        key, _, raw = part.partition("=")
+        key = key.strip()
+        name = aliases.get(key, key)
+        if name not in defaults:
+            raise ValueError(
+                f"unknown {what} spec key {key!r}; known keys: "
+                f"{sorted(set(defaults) | set(aliases))}"
+            )
+        raw = raw.strip()
+        kind = type(defaults[name])
+        if kind is bool:
+            kwargs[name] = raw.lower() in ("1", "true", "yes", "on")
+        else:
+            kwargs[name] = kind(raw)
+    return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(_RateConfig):
     """Rates and shapes of every injectable pathology.
 
     All rates default to zero: a default config injects nothing, and a
@@ -96,19 +162,10 @@ class FaultConfig:
     cache_corruption_rate: float = 0.0
     transient: bool = True
 
+    _GATES = {"overflow_rate": "overflow_bits"}
+
     def __post_init__(self) -> None:
-        for name in (
-            "dropout_rate",
-            "overflow_rate",
-            "spike_rate",
-            "run_failure_rate",
-            "crash_rate",
-            "hang_rate",
-            "cache_corruption_rate",
-        ):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]; got {rate}")
+        super().__post_init__()
         if self.overflow_bits < 0:
             raise ValueError("overflow_bits must be >= 0")
         if self.spike_scale <= 0:
@@ -124,33 +181,6 @@ class FaultConfig:
             or self.spike_rate > 0
             or (self.overflow_rate > 0 and self.overflow_bits > 0)
         )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether this config can inject anything at all."""
-        return (
-            self.any_measurement_faults
-            or self.run_failure_rate > 0
-            or self.crash_rate > 0
-            or self.hang_rate > 0
-            or self.cache_corruption_rate > 0
-        )
-
-    def describe(self) -> str:
-        """Compact ``key=value`` rendering of the nonzero rates."""
-        parts = [f"seed={self.seed}"]
-        for f in fields(self):
-            if f.name == "seed":
-                continue
-            value = getattr(self, f.name)
-            if value != f.default and not (
-                isinstance(value, float)
-                and isinstance(f.default, float)
-                and value != value  # NaN default
-                and f.default != f.default
-            ):
-                parts.append(f"{f.name}={value}")
-        return ",".join(parts)
 
 
 @dataclass
@@ -193,9 +223,6 @@ _SPEC_ALIASES: Dict[str, str] = {
     "cache": "cache_corruption_rate",
 }
 
-_BOOL_FIELDS = ("transient",)
-_INT_FIELDS = ("seed", "overflow_bits")
-
 
 def parse_fault_spec(spec: str) -> FaultConfig:
     """Parse a compact CLI fault spec into a :class:`FaultConfig`.
@@ -207,29 +234,4 @@ def parse_fault_spec(spec: str) -> FaultConfig:
     Short aliases map to the rate fields (``dropout`` ->
     ``dropout_rate``); full field names are accepted too.
     """
-    valid = {f.name for f in fields(FaultConfig)}
-    kwargs: Dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(
-                f"bad fault spec term {part!r}: expected key=value"
-            )
-        key, _, raw = part.partition("=")
-        key = key.strip()
-        field_name = _SPEC_ALIASES.get(key, key)
-        if field_name not in valid:
-            raise ValueError(
-                f"unknown fault spec key {key!r}; known keys: "
-                f"{sorted(valid | set(_SPEC_ALIASES))}"
-            )
-        raw = raw.strip()
-        if field_name in _BOOL_FIELDS:
-            kwargs[field_name] = raw.lower() in ("1", "true", "yes", "on")
-        elif field_name in _INT_FIELDS:
-            kwargs[field_name] = int(raw)
-        else:
-            kwargs[field_name] = float(raw)
-    return FaultConfig(**kwargs)
+    return _parse_spec(FaultConfig, spec, _SPEC_ALIASES, "fault")

@@ -31,7 +31,6 @@ from repro.guard.health import (
     estimate_condition,
     triangular_health,
 )
-from repro.guard.smoke import SmokeOutcome, forge_near_duplicates, run_smoke
 from repro.guard.validate import (
     ValidationError,
     require_finite,
@@ -45,17 +44,14 @@ __all__ = [
     "GuardViolation",
     "HoldoutFolds",
     "NumericalHealth",
-    "SmokeOutcome",
     "TrustScore",
     "ValidationError",
     "certify_metric",
     "estimate_condition",
-    "forge_near_duplicates",
     "require_finite",
     "require_int",
     "require_nonempty",
     "require_positive",
-    "run_smoke",
     "triangular_health",
 ]
 

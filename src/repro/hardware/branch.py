@@ -94,10 +94,6 @@ class LocalHistoryPredictor:
             self._tables[branch_id] = table
         return table
 
-    def reset(self) -> None:
-        self._histories.clear()
-        self._tables.clear()
-
     def predict(self, branch_id: int) -> bool:
         """Predicted direction for the branch's current history context."""
         history = self._histories.get(branch_id, 0)

@@ -81,16 +81,11 @@ class CacheLevel:
         # insertion order so popping the oldest entry is O(1) amortized.
         self._sets: List[Dict[int, None]] = [dict() for _ in range(config.n_sets)]
 
-    def reset(self) -> None:
-        """Flush all cached lines."""
-        for s in self._sets:
-            s.clear()
-
     def simulate_trace(self, line_addrs: Sequence[int]) -> np.ndarray:
         """Run a trace of line numbers; return a boolean hit mask.
 
         State persists across calls (warm cache), matching real hardware;
-        call :meth:`reset` for a cold run.
+        a new level is a cold one.
         """
         cfg = self.config
         addrs = np.asarray(line_addrs, dtype=np.int64)

@@ -38,12 +38,6 @@ class CounterSchedule:
     def n_runs(self) -> int:
         return len(self.groups)
 
-    def run_of(self, event: RawEvent) -> int:
-        for i, group in enumerate(self.groups):
-            if any(e.full_name == event.full_name for e in group):
-                return i
-        raise KeyError(f"event {event.full_name!r} is not scheduled")
-
 
 class PMU:
     """Counter-constrained measurement of raw events over one activity."""

@@ -1,7 +1,7 @@
 """Rendering for traces: the ``repro-cat trace`` summary tree.
 
 Turns a :class:`~repro.obs.trace.Trace` into the terminal view — span
-tree with durations and attributes, then counter and gauge totals — and
+tree with durations and attributes, then counter totals — and
 a machine-readable JSON digest for ``repro-cat trace --json``.
 """
 
@@ -52,13 +52,13 @@ def _render_subtree(
 
 
 def render_trace(trace: Trace, show_counters: bool = True) -> str:
-    """The summary tree: spans with timings, then counter/gauge totals."""
+    """The summary tree: spans with timings, then counter totals."""
     by_parent: Dict[Optional[str], List[Span]] = {}
     for span in trace.spans:
         by_parent.setdefault(span.parent, []).append(span)
     lines = [
         f"trace seed={trace.seed}: {len(trace.spans)} span(s), "
-        f"{len(trace.counters)} counter(s), {len(trace.gauges)} gauge(s)"
+        f"{len(trace.counters)} counter(s)"
     ]
     roots = by_parent.get(None, [])
     if roots:
@@ -74,12 +74,6 @@ def render_trace(trace: Trace, show_counters: bool = True) -> str:
         width = max(len(name) for name in totals)
         for name, value in totals.items():
             lines.append(f"  {name:<{width}}  {value}")
-    if show_counters and trace.gauges:
-        lines.append("")
-        lines.append("gauges:")
-        width = max(len(name) for name in trace.gauges)
-        for name in sorted(trace.gauges):
-            lines.append(f"  {name:<{width}}  {trace.gauges[name]}")
     return "\n".join(lines)
 
 
@@ -88,7 +82,6 @@ def trace_json_digest(trace: Trace) -> str:
     timings, counter totals and span count, one canonical JSON object."""
     payload = {
         "counters": trace.counter_totals(),
-        "gauges": {k: trace.gauges[k] for k in sorted(trace.gauges)},
         "seed": trace.seed,
         "spans": len(trace.spans),
         "stage_timings_ns": trace.stage_timings(),

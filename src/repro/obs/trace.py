@@ -9,9 +9,8 @@ record them:
 * **Spans** nest like call frames: ``with tracer.span("qrcp") as span``
   opens a timed region (monotonic ``perf_counter_ns``), and structured
   attributes attach via ``span.set(rank=4)``.
-* **Counters and gauges** are named totals (``tracer.incr("qrcp.pivots",
-  rank)``); every name the repo emits is catalogued in
-  ``docs/observability.md``.
+* **Counters** are named totals (``tracer.incr("qrcp.pivots", rank)``);
+  every name the repo emits is catalogued in ``docs/observability.md``.
 * **The ambient tracer** (:func:`get_tracer`) is how instrumented code
   finds its destination.  By default it is :data:`NULL_TRACER`, whose
   every operation is a constant-time no-op — the instrumentation hooks
@@ -151,7 +150,7 @@ _clock = time.perf_counter_ns
 
 
 class Tracer:
-    """Collects spans, counters and gauges for one observed scope.
+    """Collects spans and counters for one observed scope.
 
     With ``enabled=False`` every method returns immediately (``span``
     hands back the shared :data:`NULL_SPAN`); :data:`NULL_TRACER` is the
@@ -163,7 +162,6 @@ class Tracer:
         self.enabled = bool(enabled)
         self.spans: List[Span] = []
         self.counters: Dict[str, Union[int, float]] = {}
-        self.gauges: Dict[str, Scalar] = {}
         self._stack: List[Span] = []
         self._occurrences: Dict[str, int] = {}
 
@@ -179,12 +177,6 @@ class Tracer:
         if not self.enabled:
             return
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: Scalar) -> None:
-        """Record the latest value of a named gauge (no-op when disabled)."""
-        if not self.enabled:
-            return
-        self.gauges[name] = _check_scalar(name, value)
 
     # -- internals -----------------------------------------------------
     def _open(self, name: str, attrs: Dict[str, Scalar]) -> Span:
@@ -221,7 +213,6 @@ class Tracer:
             seed=self.seed,
             spans=list(self.spans),
             counters=dict(self.counters),
-            gauges=dict(self.gauges),
         )
 
 
@@ -271,7 +262,7 @@ def _canonical(payload: Dict[str, Any]) -> str:
 
 @dataclass
 class Trace:
-    """A finished trace: the span tree plus counter/gauge totals.
+    """A finished trace: the span tree plus counter totals.
 
     The JSONL form is canonical (sorted keys, fixed separators, one
     record per line), so ``from_jsonl(trace.to_jsonl()).to_jsonl()`` is
@@ -282,7 +273,6 @@ class Trace:
     seed: int
     spans: List[Span] = field(default_factory=list)
     counters: Dict[str, Union[int, float]] = field(default_factory=dict)
-    gauges: Dict[str, Scalar] = field(default_factory=dict)
 
     VERSION = 1
 
@@ -323,12 +313,11 @@ class Trace:
     # -- JSONL ---------------------------------------------------------
     def to_jsonl(self) -> str:
         """Canonical JSONL: header line, spans in start order, counters
-        and gauges in name order.  Deterministic except ``duration_ns``."""
+        in name order.  Deterministic except ``duration_ns``."""
         lines = [
             _canonical(
                 {
                     "counters": len(self.counters),
-                    "gauges": len(self.gauges),
                     "seed": self.seed,
                     "spans": len(self.spans),
                     "type": "header",
@@ -358,12 +347,6 @@ class Trace:
                     {"name": name, "type": "counter", "value": self.counters[name]}
                 )
             )
-        for name in sorted(self.gauges):
-            lines.append(
-                _canonical(
-                    {"name": name, "type": "gauge", "value": self.gauges[name]}
-                )
-            )
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -377,7 +360,6 @@ class Trace:
         seed = 0
         spans: List[Span] = []
         counters: Dict[str, Union[int, float]] = {}
-        gauges: Dict[str, Scalar] = {}
         saw_header = False
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -411,8 +393,6 @@ class Trace:
                 )
             elif kind == "counter":
                 counters[record["name"]] = record["value"]
-            elif kind == "gauge":
-                gauges[record["name"]] = record["value"]
             else:
                 raise ValueError(
                     f"trace line {lineno} has unknown record type {kind!r}"
@@ -420,7 +400,7 @@ class Trace:
         if not saw_header:
             raise ValueError("not a trace: no header record found")
         spans.sort(key=lambda s: s.index)
-        return cls(seed=seed, spans=spans, counters=counters, gauges=gauges)
+        return cls(seed=seed, spans=spans, counters=counters)
 
     def render(self, show_counters: bool = True) -> str:
         """Human-readable summary tree (see :mod:`repro.obs.render`)."""

@@ -278,11 +278,9 @@ class MetricService:
     cache_dir:
         Shared on-disk measurement cache for the pipeline runs (None
         keeps caching in-memory per worker).
-    retries / task_timeout:
+    retries:
         Passed to the :class:`SweepEngine` (bounded retry of crashed or
-        injected-fault attempts; per-task timeout needs a pool executor
-        and is therefore only honoured when ``engine_executor`` is not
-        serial).
+        injected-fault attempts).
     stale_max_age:
         Graceful-degradation gate: when the dispatch queue is full, an
         unfaulted request whose metrics exist in the catalog (any
@@ -303,7 +301,6 @@ class MetricService:
         batch_size: int = 4,
         cache_dir: Optional[str] = None,
         retries: int = 1,
-        task_timeout: Optional[float] = None,
         stale_max_age: Optional[float] = None,
         runner=None,
     ):
@@ -315,15 +312,9 @@ class MetricService:
         self.queue_limit = queue_limit
         self.batch_size = batch_size
         self.cache_dir = cache_dir
-        self.retries = retries
-        self.task_timeout = task_timeout
         self.stale_max_age = stale_max_age
         self.stats = ServiceStats()
-        self._engine = SweepEngine(
-            executor="serial",
-            task_timeout=task_timeout,
-            max_retries=retries,
-        )
+        self._engine = SweepEngine(executor="serial", max_retries=retries)
         self._runner = runner if runner is not None else self._run_batch
         self._pool: Optional[ThreadPoolExecutor] = None
         self._queue: Optional["asyncio.Queue[_Job]"] = None

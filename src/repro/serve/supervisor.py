@@ -101,7 +101,6 @@ class SupervisorConfig:
     service_queue_limit: int = 16
     service_batch_size: int = 4
     service_retries: int = 1
-    service_task_timeout: Optional[float] = None
     stale_max_age: Optional[float] = None
     #: Consistent-hash shard count of the catalog root (0 = unsharded).
     #: With shards, every worker opens the same sharded
@@ -165,7 +164,6 @@ def _worker_entry(
         batch_size=config.service_batch_size,
         cache_dir=cache_dir,
         retries=config.service_retries,
-        task_timeout=config.service_task_timeout,
         stale_max_age=config.stale_max_age,
     )
     server = HttpMetricServer(

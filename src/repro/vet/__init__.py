@@ -17,8 +17,7 @@ package closes that gap for the reproduction:
   substrate that proves the layer catches what it claims to catch;
 * :mod:`~repro.vet.drift` aggregates catalog version diffs into typed
   anomaly reports (coefficient drift, trust transitions, verdict flips)
-  and flags entries stale against the live registry;
-* :mod:`~repro.vet.smoke` is the seeded end-to-end scenario CI runs.
+  and flags entries stale against the live registry.
 """
 
 from repro.vet.campaign import CampaignConfig, run_campaign
@@ -43,7 +42,6 @@ from repro.vet.model import (
     ValidationReport,
 )
 from repro.vet.priors import TrustPriors, VetStamp
-from repro.vet.smoke import VetSmokeOutcome, run_vet_smoke
 
 __all__ = [
     "ACCURATE",
@@ -61,13 +59,11 @@ __all__ = [
     "UNVETTED",
     "VERDICTS",
     "ValidationReport",
-    "VetSmokeOutcome",
     "VetStamp",
     "anomalies_from_diff",
     "detect_drift",
     "forge_registry",
     "parse_forge_spec",
     "run_campaign",
-    "run_vet_smoke",
     "stale_entry_rows",
 ]

@@ -41,14 +41,6 @@ class TestMeasurementSet:
         with pytest.raises(KeyError, match="not measured"):
             ms.event_index("nope")
 
-    def test_thread_median(self):
-        data = np.zeros((1, 3, 2, 1))
-        data[0, :, 0, 0] = [1.0, 100.0, 2.0]
-        data[0, :, 1, 0] = [5.0, 5.0, 5.0]
-        collapsed = _ms(data).thread_median()
-        assert collapsed.n_threads == 1
-        assert collapsed.data[0, 0, :, 0].tolist() == [2.0, 5.0]
-
     def test_repetition_vectors_median_threads(self):
         data = np.zeros((2, 3, 1, 1))
         data[:, :, 0, 0] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]

@@ -70,13 +70,6 @@ class TestLocalHistoryPredictor:
         # (counters initialize to strongly-not-taken).
         assert not p.simulate(1, np.zeros(1, dtype=bool))[0]
 
-    def test_reset_clears_training(self):
-        p = LocalHistoryPredictor(history_bits=2)
-        p.simulate(0, np.ones(64, dtype=bool))
-        p.reset()
-        misses = p.simulate(0, np.ones(4, dtype=bool))
-        assert misses[0]  # cold again
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             LocalHistoryPredictor(history_bits=0)

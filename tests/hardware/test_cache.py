@@ -65,12 +65,6 @@ class TestCacheLevelTrace:
         assert level.simulate_trace([0])[0]
         assert not level.simulate_trace([8])[0]
 
-    def test_reset(self):
-        level = CacheLevel(_tiny())
-        level.simulate_trace([0, 1, 2])
-        level.reset()
-        assert not level.simulate_trace([0])[0]
-
     def test_state_persists_across_calls(self):
         level = CacheLevel(_tiny())
         level.simulate_trace([3])

@@ -1,6 +1,5 @@
 """Tests for the PMU scheduler, TLB model, GPU machine and system configs."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,15 +82,6 @@ class TestPMUScheduling:
         schedule = pmu.schedule(events)
         # The two fixed-eligible events ride fixed counters: 1 group total.
         assert schedule.n_runs == 1
-
-    def test_run_of(self):
-        pmu = PMU(programmable_counters=1, fixed_counters=0)
-        a, b = _evt("A"), _evt("B")
-        schedule = pmu.schedule([a, b])
-        assert schedule.run_of(a) == 0
-        assert schedule.run_of(b) == 1
-        with pytest.raises(KeyError):
-            schedule.run_of(_evt("C"))
 
     def test_read_covers_all_events(self):
         pmu = PMU(programmable_counters=2, fixed_counters=0)

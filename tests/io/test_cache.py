@@ -141,7 +141,6 @@ class TestPmuRunsPersistence:
         assert loaded.pmu_runs == measurement.pmu_runs
 
     def test_views_propagate_pmu_runs(self, measurement):
-        assert measurement.thread_median().pmu_runs == measurement.pmu_runs
         subset = measurement.select_events(measurement.event_names[:3])
         assert subset.pmu_runs == measurement.pmu_runs
 

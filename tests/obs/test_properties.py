@@ -135,11 +135,11 @@ ATTRS = st.dictionaries(
 
 @st.composite
 def trace_programs(draw):
-    """A random program: nested span opens/closes plus counters/gauges."""
+    """A random program: nested span opens/closes plus counters."""
     ops = []
     depth = 0
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
-        kind = draw(st.sampled_from(("open", "close", "incr", "gauge")))
+        kind = draw(st.sampled_from(("open", "close", "incr")))
         if kind == "open":
             ops.append(("open", draw(SPAN_NAMES), draw(ATTRS)))
             depth += 1
@@ -150,8 +150,6 @@ def trace_programs(draw):
             ops.append(
                 ("incr", draw(COUNTER_NAMES), draw(st.integers(0, 10**6)))
             )
-        elif kind == "gauge":
-            ops.append(("gauge", draw(COUNTER_NAMES), draw(SCALARS)))
     ops.extend([("close",)] * depth)
     return ops
 
@@ -168,8 +166,6 @@ def run_program(ops, seed):
             stack.pop().__exit__(None, None, None)
         elif op[0] == "incr":
             tracer.incr(op[1], op[2])
-        elif op[0] == "gauge":
-            tracer.gauge(op[1], op[2])
     return tracer.trace()
 
 
@@ -189,6 +185,5 @@ def test_round_trip_preserves_semantics(ops, seed):
     restored = Trace.from_jsonl(trace.to_jsonl())
     assert restored.seed == trace.seed
     assert restored.counter_totals() == trace.counter_totals()
-    assert restored.gauges == trace.gauges
     assert [(s.id, s.path, s.parent, s.depth, s.duration_ns) for s in restored.spans] \
         == [(s.id, s.path, s.parent, s.depth, s.duration_ns) for s in trace.spans]

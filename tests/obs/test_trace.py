@@ -14,9 +14,7 @@ class TestTracer:
         tracer = Tracer(enabled=False)
         assert tracer.span("anything") is NULL_SPAN
         tracer.incr("c")
-        tracer.gauge("g", 1.5)
         assert tracer.counters == {}
-        assert tracer.gauges == {}
         assert tracer.spans == []
 
     def test_null_span_accepts_set_and_context(self):
@@ -49,22 +47,17 @@ class TestTracer:
             pass
         assert c.spans[0].id != a.spans[0].id
 
-    def test_counters_accumulate_and_gauges_overwrite(self):
+    def test_counters_accumulate(self):
         tracer = Tracer()
         tracer.incr("n")
         tracer.incr("n", 4)
-        tracer.gauge("g", 1)
-        tracer.gauge("g", 2)
         assert tracer.counters == {"n": 5}
-        assert tracer.gauges == {"g": 2}
 
     def test_non_scalar_attr_rejected(self):
         tracer = Tracer()
         with pytest.raises(TypeError, match="JSON scalar"):
             with tracer.span("s", bad=[1, 2]):
                 pass
-        with pytest.raises(TypeError):
-            tracer.gauge("g", object())
 
     def test_slash_in_span_name_sanitized(self):
         tracer = Tracer()
@@ -120,7 +113,6 @@ class TestTraceExport:
             with tracer.span("qrcp"):
                 pass
         tracer.incr("qrcp.pivots", 4)
-        tracer.gauge("alpha", 5e-4)
         return tracer.trace()
 
     def test_jsonl_round_trip_is_byte_equal(self):
@@ -136,8 +128,29 @@ class TestTraceExport:
         assert header["type"] == "header"
         assert header["spans"] == 3
         assert header["counters"] == 1
-        assert header["gauges"] == 1
-        assert len(lines) == 1 + 3 + 1 + 1
+        assert "gauges" not in header
+        assert len(lines) == 1 + 3 + 1
+
+    def test_reads_a_trace_with_a_gauge_count_in_its_header(self):
+        # Traces written before gauges were dropped carry "gauges": 0.
+        text = (
+            '{"counters":1,"gauges":0,"seed":11,"spans":2,"type":"header",'
+            '"version":1}\n'
+            '{"attrs":{"domain":"branch"},"depth":0,"duration_ns":1000,'
+            '"id":"d28e679665bd","index":0,"name":"pipeline","parent":null,'
+            '"path":"pipeline","type":"span"}\n'
+            '{"attrs":{"events":3},"depth":1,"duration_ns":1000,'
+            '"id":"3b8b44139350","index":1,"name":"measure",'
+            '"parent":"d28e679665bd","path":"pipeline/measure","type":"span"}\n'
+            '{"name":"qrcp.pivots","type":"counter","value":4}\n'
+        )
+        trace = Trace.from_jsonl(text)
+        assert trace.seed == 11
+        assert [s.path for s in trace.spans] == ["pipeline", "pipeline/measure"]
+        assert trace.spans[1].attrs == {"events": 3}
+        assert trace.counters == {"qrcp.pivots": 4}
+        # Re-exported, it differs only by the dropped header count.
+        assert trace.to_jsonl() == text.replace('"gauges":0,', "")
 
     def test_from_jsonl_rejects_garbage(self):
         with pytest.raises(ValueError, match="not JSON"):

@@ -1,6 +1,5 @@
 """Tests for the shared activity record and key schema."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,14 +87,6 @@ class TestActivityRecord:
         merged = Activity({"a": 1.0}).merged(Activity({"a": 2.0, "b": 5.0}))
         assert merged["a"] == 3.0
         assert merged["b"] == 5.0
-
-    def test_accumulate(self):
-        total = Activity.accumulate([Activity({"a": 1.0}), Activity({"a": 4.0})])
-        assert total["a"] == 5.0
-
-    def test_with_counts_overwrites(self):
-        act = Activity({"a": 1.0}).with_counts(a=9.0, b=1.0)
-        assert act["a"] == 9.0 and act["b"] == 1.0
 
     def test_as_dict_is_a_copy(self):
         act = Activity({"a": 1.0})

@@ -62,6 +62,11 @@ class TestExitCodes:
     def test_missing_trace_file_is_two(self, capsys):
         assert exit_code(["trace", "/nonexistent/trace.jsonl"]) == 2
 
+    @pytest.mark.parametrize("argv", [["guard", "smoke"], ["vet", "smoke"]])
+    def test_scenario_verbs_are_gone(self, capsys, argv):
+        # The guard and vet scenarios are tests, not verbs.
+        assert exit_code(argv) == 2
+
     def test_analysis_failure_is_one(self, capsys):
         # A guaranteed worker crash with no retries: the sweep itself
         # fails, which is an analysis failure (1), not a usage error (2).

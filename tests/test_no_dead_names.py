@@ -88,27 +88,11 @@ KEEP: Dict[str, str] = {
         "client half of GET /v1/catalog/{arch}/{metric}; test_http drives "
         "the endpoint through it"
     ),
-    "Tracer.gauge": (
-        "writes the gauge record that trace export, import and rendering "
-        "carry (docs/observability.md); the obs tests round-trip it"
-    ),
     # The modelled PAPI surface (DESIGN.md's PAPI row).
     "Component.native_avail": "models papi_native_avail",
     "EventSet.cleanup": "models PAPI_cleanup_eventset in the EventSet lifecycle",
     "HighLevelMonitor.measure_region": (
         "the entry point of HighLevelMonitor, kept above"
-    ),
-    # No caller but their own unit tests; retire each with its test.
-    "Activity.accumulate": "only test_activity::test_accumulate calls it",
-    "Activity.with_counts": "only test_activity::test_with_counts_overwrites calls it",
-    "MeasurementSet.thread_median": (
-        "only test_measurement_runner::test_thread_median and one "
-        "metadata assertion in io/test_cache call it"
-    ),
-    "CounterSchedule.run_of": "only test_pmu_tlb_gpu::test_run_of calls it",
-    "CacheLevel.reset": "only test_cache::test_reset calls it",
-    "LocalHistoryPredictor.reset": (
-        "only test_branch::test_reset_clears_training calls it"
     ),
 }
 

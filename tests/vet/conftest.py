@@ -9,8 +9,8 @@ import pytest
 
 from repro.vet import CampaignConfig, run_campaign
 
-#: The deterministic event the cpu_flops QRCP selection depends on at
-#: seed 2024 — verified by tests/vet/test_smoke.py against the live run.
+#: The first deterministic event the cpu_flops QRCP selection depends on
+#: at seed 2024 — verified by tests/vet/test_priors.py against the live run.
 FORGE_TARGET = "FP_ARITH_INST_RETIRED:512B_PACKED_DOUBLE"
 
 

@@ -37,6 +37,18 @@ def _assert_bit_identical(a, b):
     np.testing.assert_array_equal(a.qrcp.selected, b.qrcp.selected)
 
 
+def test_forge_target_is_the_first_deterministic_selected_event(prior_free):
+    # The forgery must hit an exact-counting event the clean selection
+    # depends on, so that barring it visibly changes the composition.
+    events = aurora_node().events
+    deterministic = [
+        event
+        for event in prior_free.selected_events
+        if events.get(event).noise.is_deterministic
+    ]
+    assert deterministic[:1] == [FORGE_TARGET]
+
+
 class TestBitIdentity:
     """The property the whole design hangs on: priors that refute
     nothing must change nothing."""
