@@ -16,9 +16,10 @@ two-level cache under it:
 
 The key covers everything a reading depends on: the node fingerprint
 (name, seed, machine geometry, PMU budget), the benchmark configuration
-(name, kernel rows, threads, environment noise), the content of the event
-set (full names, response weights, noise models), and the repetition
-count.  Anything that could change a bit of the data changes the key.
+(name, kernel rows, threads, environment noise, constructor parameters
+off their defaults), the content of the event set (full names, response
+weights, noise models), and the repetition count.  Anything that could
+change a bit of the data changes the key.
 
 Integrity: every disk entry carries a ``.sha256`` sidecar with content
 checksums of both artifact files, written atomically alongside them.  A
@@ -45,6 +46,7 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
 from repro.cat.measurement import MeasurementSet
+from repro.cat.runner import benchmark_overrides
 from repro.events.model import RawEvent
 from repro.io.digest import file_digest, json_digest, sha256_hex
 from repro.io.store import load_measurements, save_measurements
@@ -86,13 +88,24 @@ def _node_fingerprint(node) -> dict:
 
 def _benchmark_fingerprint(benchmark) -> dict:
     env = benchmark.environment_noise
-    return {
+    fingerprint = {
         "name": benchmark.name,
         "row_labels": list(benchmark.row_labels()),
         "n_threads": benchmark.n_threads,
         "environment_noise": list(env) if env is not None else None,
         "domains": list(benchmark.measured_domains),
     }
+    # Only parameters off their defaults and not named above: a benchmark
+    # built with its defaults keys exactly as before parameters were
+    # keyed, so stored entries stay valid.
+    overrides = {
+        name: value
+        for name, value in benchmark_overrides(benchmark).items()
+        if name not in fingerprint
+    }
+    if overrides:
+        fingerprint["params"] = overrides
+    return fingerprint
 
 
 def measurement_cache_key(

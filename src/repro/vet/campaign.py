@@ -86,7 +86,7 @@ class CampaignConfig:
 
 
 def _declared_expectations(
-    event_list: Sequence[RawEvent], activities: List[List]
+    event_list: Sequence[RawEvent], activities: Sequence[Sequence]
 ) -> np.ndarray:
     """``(rows, events)`` expected counts from documented responses.
 
@@ -287,7 +287,7 @@ def run_campaign(
                     measurement = runner.run(benchmark, events=selected)
                     event_list = list(selected)
                     expected = _declared_expectations(
-                        event_list, benchmark.execute(node.machine)
+                        event_list, runner.activities(benchmark)
                     )
                     n_obs = _observe_probe(
                         benchmark,
