@@ -7,8 +7,10 @@ true-count evaluation — a per-(thread, row, event) triple loop over
 weight-matrix product.  This bench times that stage on the full Sapphire
 Rapids catalog against the pre-vectorization reference loop (reproduced
 here so the speedup stays measurable after the code moved on), checks the
-two produce bit-identical counts, and records a regression baseline in
-``results/runner_hotpath.csv``.
+two produce bit-identical counts, and writes the timings to
+``runner_hotpath.csv`` under pytest's ``tmp_path`` (the committed
+``results/runner_hotpath.csv`` is a reference run; a run of this bench
+leaves the tree clean).
 
 Rows written:
 
@@ -99,7 +101,7 @@ def node():
     return aurora_node()
 
 
-def test_runner_hotpath_speedup_and_cache(node, results_dir):
+def test_runner_hotpath_speedup_and_cache(node, tmp_path):
     bench = CPUFlopsBenchmark()
     runner = BenchmarkRunner(node, repetitions=5)
     # Full catalog, not just the domain sweep: the worst (realistic) case.
@@ -156,7 +158,7 @@ def test_runner_hotpath_speedup_and_cache(node, results_dir):
     assert not executed, "cache hit must not re-execute the benchmark"
 
     write_csv(
-        results_dir / "runner_hotpath.csv",
+        tmp_path / "runner_hotpath.csv",
         ["variant", "seconds", "speedup_vs_scalar"],
         [
             ["truecount_scalar", f"{scalar_tc_s:.6f}", "1.00"],

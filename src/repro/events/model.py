@@ -107,7 +107,9 @@ class RawEvent:
         if self.domain not in EventDomain.ALL:
             raise ValueError(f"unknown event domain {self.domain!r}")
 
-    @property
+    # Memoized like the content digests below (the event is frozen): the
+    # name keys every registry lookup, column and dependency map.
+    @cached_property
     def full_name(self) -> str:
         """PAPI-style full name, e.g. ``FP_ARITH_INST_RETIRED:SCALAR_DOUBLE``
         or ``rocm:::SQ_INSTS_VALU_ADD_F16:device=0``."""

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
+from repro.cat.dcache import KIB
 from repro.cat.measurement import MeasurementSet
 from repro.cat.runner import benchmark_overrides
 from repro.events.model import RawEvent
@@ -103,6 +104,11 @@ def _benchmark_fingerprint(benchmark) -> dict:
         for name, value in benchmark_overrides(benchmark).items()
         if name not in fingerprint
     }
+    # A dcache row label names its footprint to the KiB only; a footprint
+    # off a whole KiB (never a derived one) is keyed exactly.
+    footprints = getattr(benchmark, "footprints", None)
+    if footprints is not None and any(size % KIB for _, size in footprints):
+        overrides["footprints"] = [[region, size] for region, size in footprints]
     if overrides:
         fingerprint["params"] = overrides
     return fingerprint

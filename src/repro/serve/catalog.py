@@ -21,6 +21,7 @@ Storage layout (all writes atomic: staged file + ``os.replace``)::
 
     root/
       log.jsonl                                # append-only version log
+      deps/<sha256>.json                       # one dependency map each
       entries/<arch>/<metric-slug>/<config-digest>/v0001.json
 
 A sharded root (``shards=N``) holds the same layout once per shard,
@@ -28,15 +29,30 @@ each key routed by a :class:`~repro.serve.shard.ShardRing`::
 
     root/
       shards.json                 # {"format": 1, "shards": [...], "vnodes": V}
-      shard-00/ ... shard-NN/     # each: log.jsonl + entries/...
+      shard-00/ ... shard-NN/     # each: log.jsonl + deps/ + entries/...
+
+Every definition of one analysis depends on the same measured event
+slice, so an entry's per-event dependency map (``event_digests``) is
+stored once per shard root, as ``deps/<sha256 of its canonical JSON>``,
+and published durably before any version file that names it.  A version
+file (on-disk format 2, compact sorted JSON) names its map by that
+digest under ``"deps"`` and records its own ``content_digest``, so the
+dedup check of a ``put`` reads the digest instead of recomputing it.  A
+blob is checked against its name on load: a torn blob never reads as a
+map.  Format-1 files (indented, map inline) still read.  In memory
+:attr:`CatalogEntry.event_digests` is the map itself: payloads, digests
+and every read API see no difference between the formats.
 
 Invalidation: the config digest is part of the key, so a changed
 threshold simply misses.  A changed *event registry* would silently serve
 stale definitions — so every entry records its ``events_digest`` and the
 read APIs take the current registry digest; a mismatch is reported as a
 miss (and counted on the ``catalog.invalidated`` counter) instead of a
-hit.  History is never destroyed: invalidation is a read-side decision,
-the version log keeps the full record.
+hit.  An entry with a dependency map is judged by that map alone, so an
+edit outside its measured slice leaves it fresh; disk reads and the
+in-memory replicas apply this one rule.  History is never destroyed:
+invalidation is a read-side decision, the version log keeps the full
+record.
 """
 
 from __future__ import annotations
@@ -49,6 +65,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -56,7 +73,7 @@ import numpy as np
 
 from repro.guard.certify import TrustScore
 from repro.guard.health import NumericalHealth
-from repro.io.digest import json_digest, sha256_hex
+from repro.io.digest import canonical_json, json_digest, sha256_hex
 from repro.io.durability import (
     durable_append,
     durable_replace,
@@ -81,8 +98,19 @@ __all__ = [
     "metric_slug",
 ]
 
-#: On-disk payload format version (bumped on incompatible changes).
-FORMAT_VERSION = 1
+#: On-disk version-file format (bumped on incompatible changes).  Format
+#: 2 names the dependency map by digest; format 1 carried it inline and
+#: still reads.
+FORMAT_VERSION = 2
+
+#: Format of the logical entry payload (:meth:`CatalogEntry.to_payload`,
+#: the served wire form, and a format-1 version file).  It is hashed into
+#: every content digest, so it does not follow :data:`FORMAT_VERSION`.
+_PAYLOAD_FORMAT = 1
+
+#: Stands in for the dependency map in the text a content digest hashes,
+#: which is split around it (NUL bytes: no entry field contains this).
+_MAP_SLOT = "\x00event_digests\x00"
 
 #: Shard manifest format (bumped on incompatible changes).
 MANIFEST_FORMAT = 1
@@ -114,6 +142,22 @@ def _coeffs_to_hex(coefficients: np.ndarray) -> str:
 
 def _coeffs_from_hex(blob: str) -> np.ndarray:
     return np.frombuffer(bytes.fromhex(blob), dtype="<f8").copy()
+
+
+def _fresh(
+    entry: "CatalogEntry",
+    events_digest: Optional[str],
+    event_digests: Optional[Dict[str, str]],
+) -> bool:
+    """The one freshness rule, for disk reads and replicas alike.
+
+    An entry with a recorded dependency map is fresh exactly when the
+    caller's map equals it, whatever changed elsewhere in the registry;
+    an entry without one (or a caller without a map) falls back to the
+    whole-registry ``events_digest``.  No evidence: fresh."""
+    if event_digests is not None and entry.event_digests:
+        return entry.event_digests == event_digests
+    return events_digest is None or entry.events_digest == events_digest
 
 
 @dataclass(frozen=True)
@@ -181,23 +225,36 @@ class CatalogEntry:
         and the trace digest — trace exports carry wall-clock stage
         timings, so two bit-identical analyses trace differently; lineage
         must not defeat dedup."""
-        payload = self.to_payload()
+        digests = self.event_digests
+        return self._content_digest(canonical_json(digests) if digests else None)
+
+    def _content_digest(self, map_text: Optional[str]) -> str:
+        """:meth:`content_digest` given the dependency map's canonical
+        JSON (None for an empty map), so a put encodes the map once.
+
+        The payload is serialized with a slot in the map's place and
+        hashed around the map text: byte for byte the text
+        ``json_digest`` of the whole payload would hash."""
+        payload = self._payload(_MAP_SLOT)
         payload.pop("version")
-        payload.pop("trace_digest", None)
-        payload.pop("content_digest", None)
-        if not payload.get("event_digests"):
+        payload.pop("trace_digest")
+        if map_text is None:
             # Entries without dependency tracking hash exactly as they
             # did before the field existed (stored catalogs keep dedup).
-            payload.pop("event_digests", None)
-        if not payload.get("vet"):
+            payload.pop("event_digests")
+        if not payload["vet"]:
             # Same back-compat rule for the validation stamp: entries from
             # prior-free runs hash exactly as they did before the field.
-            payload.pop("vet", None)
-        if not payload.get("provenance"):
+            payload.pop("vet")
+        if not payload["provenance"]:
             # And for ingestion provenance: simulated-run entries hash
             # exactly as they did before ingestion existed.
-            payload.pop("provenance", None)
-        return json_digest(payload, length=16)
+            payload.pop("provenance")
+        text = canonical_json(payload)
+        if map_text is None:
+            return sha256_hex(text, length=16)
+        prefix, suffix = text.split(canonical_json(_MAP_SLOT))
+        return sha256_hex(prefix, map_text, suffix, length=16)
 
     def definition(self) -> "MetricDefinition":
         """Reconstruct the definition, coefficient bytes and trust stamp
@@ -218,6 +275,10 @@ class CatalogEntry:
 
     # -- payload -------------------------------------------------------
     def to_payload(self) -> dict:
+        return self._payload(dict(self.event_digests))
+
+    def _payload(self, event_digests: object) -> dict:
+        """The logical payload with ``event_digests`` in the map's place."""
         trust = None
         if self.trust is not None:
             trust = {
@@ -241,7 +302,7 @@ class CatalogEntry:
                 "suspect_columns": list(self.health.suspect_columns),
             }
         return {
-            "format": FORMAT_VERSION,
+            "format": _PAYLOAD_FORMAT,
             "version": self.version,
             "arch": self.arch,
             "domain": self.domain,
@@ -260,7 +321,7 @@ class CatalogEntry:
             "qrcp_guards": list(self.qrcp_guards),
             "trust": trust,
             "rounded_terms": dict(self.rounded_terms),
-            "event_digests": dict(self.event_digests),
+            "event_digests": event_digests,
             "vet": dict(self.vet) if self.vet else None,
             "provenance": dict(self.provenance) if self.provenance else None,
             "trace_digest": self.trace_digest,
@@ -269,10 +330,10 @@ class CatalogEntry:
     @classmethod
     def from_payload(cls, payload: dict) -> "CatalogEntry":
         fmt = payload.get("format")
-        if fmt != FORMAT_VERSION:
+        if fmt != _PAYLOAD_FORMAT:
             raise ValueError(
                 f"unsupported catalog entry format {fmt!r} "
-                f"(this reader speaks {FORMAT_VERSION})"
+                f"(this reader speaks {_PAYLOAD_FORMAT})"
             )
         trust = None
         if payload.get("trust") is not None:
@@ -524,15 +585,6 @@ def diff_entries(a: CatalogEntry, b: CatalogEntry) -> CatalogDiff:
     return diff
 
 
-@dataclass
-class _Replica:
-    """One replicated entry plus the freshness evidence it was read under."""
-
-    entry: CatalogEntry
-    events_digest: Optional[str]
-    event_digests: Optional[Dict[str, str]]
-
-
 class MetricCatalogStore:
     """On-disk versioned catalog of metric definitions.
 
@@ -557,11 +609,17 @@ class MetricCatalogStore:
     sharded root a shard whose I/O fails is skipped for that call and
     named in :attr:`degraded_shards`.
 
+    **Dependency maps.**  Each distinct ``event_digests`` map is written
+    once per shard root under ``deps/`` and named by digest from every
+    version file that carries it; loaded maps are kept in a small LRU
+    keyed by that digest (content addressing makes it a pure cache).
+
     **Read replicas.**  ``latest`` reads that present freshness evidence
     (an events digest or a dependency map) are kept in a small in-memory
-    LRU and served again while the caller's evidence still matches
-    (``shard.replica_hits``); a mismatch drops the replica
-    (``shard.replica_invalidations``), and a ``put`` of the key drops it.
+    LRU and served again while the entry is fresh for the caller's
+    evidence, by the same rule as a disk read (``shard.replica_hits``);
+    a stale replica is dropped (``shard.replica_invalidations``) and the
+    read goes to disk, and a ``put`` of the key drops it.
 
     With ``durable=True`` (the default) publication follows full fsync
     discipline: staged contents are synced before the rename, the parent
@@ -580,6 +638,9 @@ class MetricCatalogStore:
 
     #: Most replicated ``latest`` entries kept in memory.
     _REPLICA_CAPACITY = 256
+    #: Most loaded dependency maps kept in memory (a map is up to ~1,100
+    #: events; the live set is one per analysed (system, domain) pair).
+    _MAP_CAPACITY = 16
 
     def __init__(
         self,
@@ -607,8 +668,14 @@ class MetricCatalogStore:
         }
         #: Shards the most recent fan-out had to skip (I/O errors).
         self.degraded_shards: Tuple[str, ...] = ()
-        self._replicas: "OrderedDict[Tuple[str, str, str], _Replica]" = OrderedDict()
+        self._replicas: "OrderedDict[Tuple[str, str, str], CatalogEntry]" = OrderedDict()
         self._replica_lock = threading.Lock()
+        #: Loaded dependency maps by digest, and the last map a put
+        #: encoded as ``(map, canonical JSON, digest)``: the entries of one
+        #: analysis share their map.
+        self._maps: "OrderedDict[str, Dict[str, str]]" = OrderedDict()
+        self._map_lock = threading.Lock()
+        self._last_map: Optional[Tuple[Dict[str, str], str, str]] = None
 
     # -- topology ------------------------------------------------------
     def _open_ring(self, shards: int) -> Optional[ShardRing]:
@@ -696,11 +763,12 @@ class MetricCatalogStore:
     ) -> Path:
         return shard_root / "entries" / arch / metric_slug(metric) / config_digest
 
-    def _key_dir(self, arch: str, metric: str, config_digest: str) -> Path:
-        """The routed entry directory of one key."""
-        return self._entry_dir(
-            self._shard_root(arch, metric), arch, metric, config_digest
-        )
+    def _key_paths(
+        self, arch: str, metric: str, config_digest: str
+    ) -> Tuple[Path, Path]:
+        """The routed ``(shard root, entry directory)`` of one key."""
+        shard_root = self._shard_root(arch, metric)
+        return shard_root, self._entry_dir(shard_root, arch, metric, config_digest)
 
     @staticmethod
     def _version_path(entry_dir: Path, version: int) -> Path:
@@ -726,44 +794,83 @@ class MetricCatalogStore:
         event_digests: Optional[Dict[str, str]],
     ) -> Optional[CatalogEntry]:
         with self._replica_lock:
-            replica = self._replicas.get(key)
-            if replica is None:
+            entry = self._replicas.get(key)
+            if entry is None:
                 return None
-            if (
-                replica.events_digest != events_digest
-                or replica.event_digests != event_digests
-            ):
-                # The registry moved under the replica (or the caller's
-                # freshness evidence changed): invalidate, re-read.
+            if not _fresh(entry, events_digest, event_digests):
+                # The registry moved under the replica's dependencies:
+                # invalidate, re-read.
                 del self._replicas[key]
                 get_tracer().incr("shard.replica_invalidations")
                 return None
             self._replicas.move_to_end(key)
         get_tracer().incr("shard.replica_hits")
-        return replica.entry
+        return entry
 
-    def _replica_put(
-        self,
-        key: Tuple[str, str, str],
-        entry: CatalogEntry,
-        events_digest: Optional[str],
-        event_digests: Optional[Dict[str, str]],
-    ) -> None:
-        if events_digest is None and event_digests is None:
-            # An unchecked read carries no freshness evidence; caching
-            # it could serve a stale definition as fresh.  Don't.
-            return
+    def _replica_put(self, key: Tuple[str, str, str], entry: CatalogEntry) -> None:
         with self._replica_lock:
-            self._replicas[key] = _Replica(
-                entry=entry,
-                events_digest=events_digest,
-                event_digests=(
-                    dict(event_digests) if event_digests is not None else None
-                ),
-            )
+            self._replicas[key] = entry
             self._replicas.move_to_end(key)
             while len(self._replicas) > self._REPLICA_CAPACITY:
                 self._replicas.popitem(last=False)
+
+    # -- dependency maps -----------------------------------------------
+    @staticmethod
+    def _map_path(shard_root: Path, digest: str) -> Path:
+        return shard_root / "deps" / f"{digest}.json"
+
+    def _cache_map(self, digest: str, event_digests: Dict[str, str]) -> None:
+        with self._map_lock:
+            self._maps[digest] = event_digests
+            self._maps.move_to_end(digest)
+            while len(self._maps) > self._MAP_CAPACITY:
+                self._maps.popitem(last=False)
+
+    def _encode_map(
+        self, event_digests: Dict[str, str]
+    ) -> Tuple[Dict[str, str], str, str]:
+        """``(the store's copy, canonical JSON, sha256)`` of a map,
+        reusing the last put's encoding when the map equals it."""
+        last = self._last_map
+        if last is None or last[0] != event_digests:
+            # A copy: the caller's dict may change after the put.
+            text = canonical_json(event_digests)
+            last = (dict(event_digests), text, sha256_hex(text))
+            self._last_map = last
+        return last
+
+    def _write_map(
+        self, shard_root: Path, event_digests: Dict[str, str], text: str, digest: str
+    ) -> None:
+        """Publish one map blob durably (staged file, fsync, replace,
+        directory fsync) unless it is already there."""
+        path = self._map_path(shard_root, digest)
+        if not path.exists():
+            if not path.parent.is_dir():
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if self.durable:
+                    fsync_dir(shard_root)
+            staged = path.parent / (
+                f".{digest}.{os.getpid()}.{threading.get_ident()}.staged"
+            )
+            durable_write(staged, text, durable=self.durable)
+            durable_replace(staged, path, durable=self.durable)
+        self._cache_map(digest, event_digests)
+
+    def _read_map(self, shard_root: Path, digest: str) -> Dict[str, str]:
+        """The map named ``digest``: from the LRU, else from its blob,
+        whose bytes must hash to its name (``ValueError`` otherwise)."""
+        with self._map_lock:
+            cached = self._maps.get(digest)
+            if cached is not None:
+                self._maps.move_to_end(digest)
+                return cached
+        data = self._map_path(shard_root, digest).read_bytes()
+        if sha256_hex(data) != digest:
+            raise ValueError(f"dependency map {digest} does not match its digest")
+        event_digests = json.loads(data)
+        self._cache_map(digest, event_digests)
+        return event_digests
 
     # -- writes --------------------------------------------------------
     def put(self, entry: CatalogEntry) -> CatalogEntry:
@@ -787,19 +894,32 @@ class MetricCatalogStore:
             shard_root, entry.arch, entry.metric, entry.config_digest
         )
         entry_dir.mkdir(parents=True, exist_ok=True)
-        content = entry.content_digest()
+        deps = map_text = None
+        if entry.event_digests:
+            event_digests, map_text, deps = self._encode_map(entry.event_digests)
+        content = entry._content_digest(map_text)
         while True:
             versions = self._versions_in(entry_dir)
             if versions:
-                latest = self._load(self._version_path(entry_dir, versions[-1]))
-                if latest is not None and latest.content_digest() == content:
+                loaded = self._read(
+                    shard_root, self._version_path(entry_dir, versions[-1])
+                )
+                if loaded is not None and loaded[1] == content:
                     get_tracer().incr("catalog.dedup")
-                    return latest
+                    return loaded[0]
             version = (versions[-1] + 1) if versions else 1
             stored = dataclasses.replace(entry, version=version)
             final = self._version_path(entry_dir, version)
             staged = entry_dir / f".v{version:04d}.{os.getpid()}.staged"
-            blob = json.dumps(stored.to_payload(), indent=2, sort_keys=True)
+            # The version file: the payload with the map named by digest,
+            # in the C encoder's compact form.
+            record = stored._payload(None)
+            del record["event_digests"]
+            record.update(format=FORMAT_VERSION, deps=deps, content_digest=content)
+            blob = json.dumps(record, sort_keys=True)
+            if deps is not None:
+                # The map is durable before any version file names it.
+                self._write_map(shard_root, event_digests, map_text, deps)
             action = (
                 self.failpoint(self._publish_site(stored))
                 if self.failpoint is not None
@@ -867,12 +987,35 @@ class MetricCatalogStore:
             )
 
     # -- reads ---------------------------------------------------------
-    @staticmethod
-    def _load(path: Path) -> Optional[CatalogEntry]:
+    def _read(
+        self,
+        shard_root: Path,
+        path: Path,
+        maps: Optional[Callable[[str], Dict[str, str]]] = None,
+    ) -> Optional[Tuple[CatalogEntry, str]]:
+        """One version file as ``(entry, content digest)``; None when it
+        is missing or torn, or names a map that is.  ``maps`` resolves a
+        map digest (default: the LRU, then the blob)."""
         try:
-            return CatalogEntry.from_payload(json.loads(path.read_text()))
-        except (OSError, ValueError, KeyError):
+            record = json.loads(path.read_text())
+            content = None
+            if record.get("format") == FORMAT_VERSION:
+                deps = record.pop("deps")
+                content = record.pop("content_digest")
+                record["format"] = _PAYLOAD_FORMAT
+                record["event_digests"] = (
+                    (maps or partial(self._read_map, shard_root))(deps)
+                    if deps
+                    else {}
+                )
+            entry = CatalogEntry.from_payload(record)
+        except (OSError, ValueError, KeyError, AttributeError, TypeError):
             return None
+        return entry, content or entry.content_digest()
+
+    def _load(self, shard_root: Path, path: Path) -> Optional[CatalogEntry]:
+        loaded = self._read(shard_root, path)
+        return loaded[0] if loaded is not None else None
 
     def get(
         self,
@@ -899,22 +1042,18 @@ class MetricCatalogStore:
         Entries without a recorded map fall back to the coarse
         whole-registry comparison.
         """
-        entry_dir = self._key_dir(arch, metric, config_digest)
+        shard_root, entry_dir = self._key_paths(arch, metric, config_digest)
         if version is None:
             versions = self._versions_in(entry_dir)
             if not versions:
                 get_tracer().incr("catalog.misses")
                 return None
             version = versions[-1]
-        entry = self._load(self._version_path(entry_dir, version))
+        entry = self._load(shard_root, self._version_path(entry_dir, version))
         if entry is None:
             get_tracer().incr("catalog.misses")
             return None
-        if event_digests is not None and entry.event_digests:
-            if dict(entry.event_digests) != dict(event_digests):
-                get_tracer().incr("catalog.invalidated")
-                return None
-        elif events_digest is not None and entry.events_digest != events_digest:
+        if not _fresh(entry, events_digest, event_digests):
             get_tracer().incr("catalog.invalidated")
             return None
         get_tracer().incr("catalog.hits")
@@ -931,9 +1070,13 @@ class MetricCatalogStore:
         """The newest stored version of a key (staleness-checked), from
         the replica LRU when the caller's evidence still matches."""
         key = (arch, metric, config_digest)
-        replica = self._replica_get(key, events_digest, event_digests)
-        if replica is not None:
-            return replica
+        # An unchecked read carries no freshness evidence; serving or
+        # caching a replica for it could pass a stale definition as fresh.
+        checked = events_digest is not None or event_digests is not None
+        if checked:
+            replica = self._replica_get(key, events_digest, event_digests)
+            if replica is not None:
+                return replica
         entry = self.get(
             arch,
             metric,
@@ -941,18 +1084,18 @@ class MetricCatalogStore:
             events_digest=events_digest,
             event_digests=event_digests,
         )
-        if entry is not None:
-            self._replica_put(key, entry, events_digest, event_digests)
+        if entry is not None and checked:
+            self._replica_put(key, entry)
         return entry
 
     def history(
         self, arch: str, metric: str, config_digest: str
     ) -> List[CatalogEntry]:
         """Every stored version, oldest first."""
-        entry_dir = self._key_dir(arch, metric, config_digest)
+        shard_root, entry_dir = self._key_paths(arch, metric, config_digest)
         entries = []
         for version in self._versions_in(entry_dir):
-            entry = self._load(self._version_path(entry_dir, version))
+            entry = self._load(shard_root, self._version_path(entry_dir, version))
             if entry is not None:
                 entries.append(entry)
         return entries
@@ -966,9 +1109,9 @@ class MetricCatalogStore:
         version_b: int,
     ) -> CatalogDiff:
         """Structured diff between two stored versions of one key."""
-        entry_dir = self._key_dir(arch, metric, config_digest)
-        a = self._load(self._version_path(entry_dir, version_a))
-        b = self._load(self._version_path(entry_dir, version_b))
+        shard_root, entry_dir = self._key_paths(arch, metric, config_digest)
+        a = self._load(shard_root, self._version_path(entry_dir, version_a))
+        b = self._load(shard_root, self._version_path(entry_dir, version_b))
         if a is None or b is None:
             missing = version_a if a is None else version_b
             raise KeyError(
@@ -1000,7 +1143,7 @@ class MetricCatalogStore:
                     if not versions:
                         continue
                     latest = self._load(
-                        self._version_path(digest_dir, versions[-1])
+                        shard_root, self._version_path(digest_dir, versions[-1])
                     )
                     if latest is None:
                         continue
@@ -1074,10 +1217,10 @@ class MetricCatalogStore:
         definition may be served stale (None = unbounded); torn versions
         are skipped in favour of the newest older good one.
         """
-        entry_dir = self._key_dir(arch, metric, config_digest)
+        shard_root, entry_dir = self._key_paths(arch, metric, config_digest)
         for version in reversed(self._versions_in(entry_dir)):
             path = self._version_path(entry_dir, version)
-            entry = self._load(path)
+            entry = self._load(shard_root, path)
             if entry is None:
                 continue
             try:
@@ -1099,11 +1242,13 @@ class MetricCatalogStore:
         checksum-and-quarantine idiom:
 
         * **torn versions** — unparseable ``v*.json`` files (power loss
-          mid-publication): moved under the shard root's ``quarantine/``
-          so no code path ever parses them again
-          (``catalog.fsck.quarantined``);
-        * **staged leftovers** — ``.staged`` files whose publish never
-          completed: deleted;
+          mid-publication), and version files whose dependency map blob
+          is missing or torn: moved under the shard root's
+          ``quarantine/`` so no code path ever parses them again
+          (``catalog.fsck.quarantined``); so is a torn map blob (one
+          whose bytes do not hash to its name);
+        * **staged leftovers** — ``.staged`` files (entries or map
+          blobs) whose publish never completed: deleted;
         * **unlogged versions** — good version files missing from
           ``log.jsonl`` (power loss between publish and log append):
           their log records are reconstructed and re-appended;
@@ -1118,37 +1263,35 @@ class MetricCatalogStore:
 
     def _fsck_shard(self, shard_root: Path, repair: bool, report: "FsckReport") -> None:
         prefix = "" if shard_root == self.root else f"{shard_root.name}/"
+        intact = self._fsck_maps(shard_root, repair, report)
+
+        def read_map(digest: str) -> Dict[str, str]:
+            # Judged on disk, not by the LRU: a map cached before its
+            # blob was damaged must not vouch for the blob.
+            if digest not in intact:
+                raise KeyError(digest)
+            return self._read_map(shard_root, digest)
+
         entries_root = shard_root / "entries"
-        on_disk: Dict[Tuple[str, str, str, int], CatalogEntry] = {}
+        on_disk: Dict[Tuple[str, str, str, int], Tuple[CatalogEntry, str]] = {}
         if entries_root.is_dir():
             for path in sorted(entries_root.rglob("*")):
                 if not path.is_file():
                     continue
-                rel = str(path.relative_to(self.root))
                 if path.name.endswith(".staged"):
-                    report.staged_removed.append(rel)
-                    if repair:
-                        path.unlink(missing_ok=True)
+                    self._remove_staged(path, repair, report)
                     continue
                 if not re.fullmatch(r"v\d{4,}\.json", path.name):
                     continue
                 report.scanned += 1
-                entry = self._load(path)
-                if entry is None:
-                    report.quarantined.append(rel)
-                    get_tracer().incr("catalog.fsck.quarantined")
-                    if repair:
-                        dest = shard_root / "quarantine" / path.relative_to(shard_root)
-                        dest.parent.mkdir(parents=True, exist_ok=True)
-                        if dest.exists():
-                            dest = dest.with_suffix(
-                                f".{int(time.time() * 1e6):x}.json"
-                            )
-                        os.replace(path, dest)
+                loaded = self._read(shard_root, path, maps=read_map)
+                if loaded is None:
+                    self._quarantine(shard_root, path, repair, report)
                     continue
+                entry = loaded[0]
                 on_disk[
                     (entry.arch, entry.metric, entry.config_digest, entry.version)
-                ] = entry
+                ] = loaded
 
         records, bad_lines = self._read_log(shard_root)
         report.log_torn_lines += len(bad_lines)
@@ -1161,13 +1304,13 @@ class MetricCatalogStore:
             )
             for r in records
         }
-        relog: List[CatalogEntry] = []
-        for key, entry in sorted(on_disk.items()):
+        relog: List[Tuple[CatalogEntry, str]] = []
+        for key, loaded in sorted(on_disk.items()):
             if key not in logged:
                 report.relogged.append(
                     f"{prefix}{key[0]}/{key[1]}/{key[2]}/v{key[3]:04d}"
                 )
-                relog.append(entry)
+                relog.append(loaded)
         for key in sorted(logged):
             if key not in on_disk and all(v is not None for v in key):
                 report.orphaned_records.append(
@@ -1180,9 +1323,50 @@ class MetricCatalogStore:
                 # rewriting from the pre-append snapshot would discard
                 # the records appended below.
                 self._rewrite_log(shard_root, records)
-            for entry in relog:
-                self._append_log(shard_root, entry, entry.content_digest())
+            for entry, content in relog:
+                self._append_log(shard_root, entry, content)
         get_tracer().incr("catalog.fsck.runs")
+
+    def _fsck_maps(self, shard_root: Path, repair: bool, report: "FsckReport") -> set:
+        """Digests of the shard's intact map blobs; torn blobs are
+        quarantined and staged leftovers removed."""
+        intact = set()
+        deps_root = shard_root / "deps"
+        if not deps_root.is_dir():
+            return intact
+        for path in sorted(deps_root.iterdir()):
+            if path.name.endswith(".staged"):
+                self._remove_staged(path, repair, report)
+                continue
+            digest = path.name[: -len(".json")]
+            try:
+                good = sha256_hex(path.read_bytes()) == digest
+            except OSError:
+                good = False
+            if good:
+                intact.add(digest)
+            else:
+                self._quarantine(shard_root, path, repair, report)
+        return intact
+
+    def _remove_staged(self, path: Path, repair: bool, report: "FsckReport") -> None:
+        report.staged_removed.append(str(path.relative_to(self.root)))
+        if repair:
+            path.unlink(missing_ok=True)
+
+    def _quarantine(
+        self, shard_root: Path, path: Path, repair: bool, report: "FsckReport"
+    ) -> None:
+        """Move ``path`` under the shard root's ``quarantine/``, keeping
+        its relative path (with a unique suffix when one is there)."""
+        report.quarantined.append(str(path.relative_to(self.root)))
+        get_tracer().incr("catalog.fsck.quarantined")
+        if repair:
+            dest = shard_root / "quarantine" / path.relative_to(shard_root)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            if dest.exists():
+                dest = dest.with_suffix(f".{int(time.time() * 1e6):x}.json")
+            os.replace(path, dest)
 
     def compact_log(self) -> "LogCompaction":
         """Compact every ``log.jsonl``: drop torn lines, duplicate

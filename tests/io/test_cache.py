@@ -55,6 +55,40 @@ class TestCacheKey:
             measurement_cache_key(node, bench, subset, 2)
         )
 
+    def test_footprints_off_whole_kib_key_exactly(self, node, registry):
+        """Both footprints label their row ``stride64/L1/48KiB``, but
+        their chases differ, so their measurements must not share a key."""
+        from repro.cat import DCacheBenchmark
+        from repro.incr.delta import column_key
+
+        a, b = (
+            DCacheBenchmark(
+                strides=(64,), n_threads=1, footprints=[("L1", 48 * 1024 + extra)]
+            )
+            for extra in (500, 900)
+        )
+        assert a.row_labels() == b.row_labels()
+        assert measurement_cache_key(node, a, registry, 2) != (
+            measurement_cache_key(node, b, registry, 2)
+        )
+        event = next(iter(registry))
+        assert column_key(node, a, event, 2) != column_key(node, b, event, 2)
+
+    def test_derived_footprint_keys_are_unchanged(self, node):
+        """Default and config-derived footprints are whole KiB: their
+        keys stay exactly what they were before exact footprints were
+        keyed (stored caches stay valid)."""
+        from repro.cat import DCacheBenchmark
+
+        default = DCacheBenchmark()
+        derived = DCacheBenchmark(cpu_config=node.machine.config)
+        events = BenchmarkRunner(node, repetitions=2).select_events(default)
+        key = measurement_cache_key(node, default, events, 2)
+        assert key == (
+            "e3729783e0713d48a47e06820309e9019089fec59f6ba7b30e9602bc0dd0a4b0"
+        )
+        assert measurement_cache_key(node, derived, events, 2) == key
+
     def test_digest_covers_event_content(self, registry):
         events = list(registry)
         full = event_set_digest(events)

@@ -336,6 +336,73 @@ class TestEventDigests:
         )
 
 
+class TestDependencyMapBlobs:
+    """Each distinct map is stored once, under ``deps/<sha256>.json``,
+    and version files name it (on-disk format 2)."""
+
+    @pytest.fixture(scope="class")
+    def tracked(self, node, result):
+        deps = node.events.select(domains=("branch",)).event_digests()
+        return entries_from_result(
+            result,
+            arch=node.name,
+            seed=7,
+            events_digest=event_set_digest(node.events),
+            event_digests=deps,
+        )
+
+    def test_content_digest_hashes_the_whole_payload(self, tracked, entries):
+        """The digest hashed around the map text is ``json_digest`` of
+        the payload with the map inline, byte for byte."""
+        from repro.io.digest import json_digest
+
+        for entry in tracked + entries:
+            payload = entry.to_payload()
+            for name in ("version", "trace_digest"):
+                payload.pop(name)
+            for name in ("event_digests", "vet", "provenance"):
+                if not payload[name]:
+                    payload.pop(name)
+            assert entry.content_digest() == json_digest(payload, length=16)
+
+    def test_entries_sharing_a_map_leave_one_blob(self, tmp_path, tracked):
+        from repro.io.digest import canonical_json, sha256_hex
+
+        store = MetricCatalogStore(tmp_path)
+        for entry in tracked:
+            store.put(entry)
+        assert len(tracked) > 1
+        digest = sha256_hex(canonical_json(tracked[0].event_digests))
+        assert [p.name for p in (tmp_path / "deps").iterdir()] == [
+            f"{digest}.json"
+        ]
+        for entry in tracked:
+            path = next(
+                (tmp_path / "entries").rglob(f"{metric_slug(entry.metric)}/*/v0001.json")
+            )
+            record = json.loads(path.read_text())
+            assert record["format"] == 2 and record["deps"] == digest
+            assert record["content_digest"] == entry.content_digest()
+            assert "event_digests" not in record
+        # A fresh process reads every map back from the one blob.
+        fresh = MetricCatalogStore(tmp_path)
+        for entry in tracked:
+            got = fresh.get(entry.arch, entry.metric, entry.config_digest)
+            assert got.event_digests == entry.event_digests
+            assert got.content_digest() == entry.content_digest()
+
+    def test_torn_blob_never_reads_as_a_map(self, tmp_path, tracked):
+        entry = tracked[0]
+        MetricCatalogStore(tmp_path).put(entry)
+        (blob,) = (tmp_path / "deps").iterdir()
+        text = blob.read_text()
+        blob.write_text(text[: len(text) // 2] + "}")
+        fresh = MetricCatalogStore(tmp_path)
+        with obs.tracing(seed=0) as tracer:
+            assert fresh.get(entry.arch, entry.metric, entry.config_digest) is None
+            assert tracer.counters["catalog.misses"] == 1
+
+
 class TestPartialRefreshDiff:
     """``catalog diff`` semantics across a partial refresh: only the
     invalidated (arch, metric) entries gain versions; untouched entries

@@ -26,8 +26,17 @@ def entries():
     )
 
 
+@pytest.fixture(scope="module")
+def tracked(entries):
+    """``entries`` with one shared dependency map."""
+    from repro.incr import domain_event_digests
+
+    deps = domain_event_digests(aurora_node(seed=7).events, "branch")
+    return [dataclasses.replace(e, event_digests=deps) for e in entries]
+
+
 def _version_file(store, entry):
-    entry_dir = store._key_dir(entry.arch, entry.metric, entry.config_digest)
+    _, entry_dir = store._key_paths(entry.arch, entry.metric, entry.config_digest)
     return entry_dir / f"v{entry.version:04d}.json"
 
 
@@ -134,6 +143,45 @@ class TestFsck:
         report = store.fsck(repair=True)
         assert report.staged_removed == [str(staged.relative_to(store.root))]
         assert not staged.exists()
+
+    def test_entry_with_missing_or_torn_map_is_quarantined(
+        self, tmp_path, tracked
+    ):
+        """Judged on disk: the store that wrote the map still holds it in
+        memory, and fsck quarantines the entries anyway."""
+        for damage in ("missing", "torn"):
+            store = MetricCatalogStore(tmp_path / damage)
+            stored = [store.put(entry) for entry in tracked]
+            (blob,) = (tmp_path / damage / "deps").iterdir()
+            if damage == "missing":
+                blob.unlink()
+            else:
+                blob.write_bytes(blob.read_bytes()[:-7])
+            report = store.fsck()
+            versions = sorted(
+                str(_version_file(store, e).relative_to(store.root)) for e in stored
+            )
+            torn_blob = [] if damage == "missing" else [f"deps/{blob.name}"]
+            assert sorted(report.quarantined) == sorted(versions + torn_blob)
+            assert len(report.orphaned_records) == len(tracked)
+            assert not any((store.root / "entries").rglob("v*.json"))
+            # A later put republishes the map and the entry.
+            for entry in tracked:
+                assert store.put(entry).version == 1
+            fresh = MetricCatalogStore(store.root)
+            got = fresh.get(tracked[0].arch, tracked[0].metric, tracked[0].config_digest)
+            assert got.event_digests == tracked[0].event_digests
+            assert fresh.fsck(repair=False).clean
+
+    def test_staged_map_leftovers_are_removed(self, tmp_path, tracked):
+        store = MetricCatalogStore(tmp_path)
+        store.put(tracked[0])
+        staged = tmp_path / "deps" / f".{'0' * 64}.1.2.staged"
+        staged.write_text('{"E": ')
+        report = store.fsck()
+        assert report.staged_removed == [f"deps/{staged.name}"]
+        assert not staged.exists()
+        assert store.fsck(repair=False).clean
 
     def test_torn_log_tail_is_repaired(self, tmp_path, entries):
         store = MetricCatalogStore(tmp_path / "cat")

@@ -9,6 +9,7 @@ invalidation on the events-registry digest.
 """
 
 import dataclasses
+import functools
 import json
 import shutil
 
@@ -264,6 +265,97 @@ class TestOnDiskLayout:
             ).read_bytes()
 
 
+def _tracked(node, entries):
+    """``entries`` with the dependency map of their measured slice."""
+    from repro.incr import domain_event_digests
+
+    deps = domain_event_digests(node.events, "branch")
+    return [dataclasses.replace(e, event_digests=deps) for e in entries]
+
+
+def _write_format_1(root, shards, stored):
+    """Lay ``stored`` (entries with versions assigned) down exactly as a
+    format-1 store did: indented JSON with the map inline, one log line
+    per version."""
+    from repro.serve.catalog import metric_slug
+
+    if shards:
+        root.mkdir(parents=True, exist_ok=True)
+        (root / "shards.json").write_text(TestOnDiskLayout.MANIFEST)
+    records = []
+    for entry in stored:
+        shard_root = root / _owner(shards, entry) if shards else root
+        entry_dir = (
+            shard_root / "entries" / entry.arch / metric_slug(entry.metric)
+            / entry.config_digest
+        )
+        entry_dir.mkdir(parents=True, exist_ok=True)
+        payload = entry.to_payload()
+        assert payload["format"] == 1 and payload["event_digests"]
+        (entry_dir / f"v{entry.version:04d}.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True)
+        )
+        record = {
+            "op": "put",
+            "arch": entry.arch,
+            "metric": entry.metric,
+            "config_digest": entry.config_digest,
+            "version": entry.version,
+            "content_digest": entry.content_digest(),
+            "events_digest": entry.events_digest,
+        }
+        records.append(record)
+        with (shard_root / "log.jsonl").open("a") as log:
+            log.write(json.dumps(record, sort_keys=True) + "\n")
+    return records
+
+
+class TestReadFormat1:
+    """Roots written before dependency maps moved to ``deps/`` (format 1:
+    indented JSON, map inline) reopen unchanged and dedup against new
+    puts."""
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_format_1_root_reopens_dedups_and_fscks_clean(
+        self, tmp_path, node, entries, shards
+    ):
+        tracked = _tracked(node, entries)
+        first = tracked[0]
+        older = dataclasses.replace(first, error=first.error * 2, version=1)
+        stored = [older, dataclasses.replace(first, version=2)] + [
+            dataclasses.replace(e, version=1) for e in tracked[1:]
+        ]
+        records = _write_format_1(tmp_path, shards, stored)
+        before = _files(tmp_path)
+
+        store = MetricCatalogStore(tmp_path)
+        assert (store.ring is None) == (shards == 0)
+        rows = store.list_entries()
+        assert [r["metric"] for r in rows] == sorted(e.metric for e in tracked)
+        canonical = functools.partial(json.dumps, sort_keys=True)
+        assert sorted(store.log_records(), key=canonical) == sorted(
+            records, key=canonical
+        )
+        assert store.history(first.arch, first.metric, first.config_digest) == (
+            stored[:2]
+        )
+        for entry in stored[1:]:
+            got = store.latest(
+                entry.arch,
+                entry.metric,
+                entry.config_digest,
+                event_digests=entry.event_digests,
+            )
+            assert got == entry
+            assert got.content_digest() == entry.content_digest()
+        with obs.tracing(seed=7) as tracer:
+            for entry in tracked:
+                assert store.put(entry) in stored
+            assert tracer.counters["catalog.dedup"] == len(tracked)
+        assert _files(tmp_path) == before  # nothing written
+        assert store.fsck(repair=False).clean
+
+
 class TestShardedFanOut:
     """Cross-shard list, log, fsck and compaction coverage."""
 
@@ -412,6 +504,35 @@ class TestReadReplicas:
             )
             assert stale is None
             assert len(store._replicas) == 0
+            assert tracer.counters["shard.replica_invalidations"] == 1
+
+    def test_edit_outside_the_map_keeps_replica(self, tmp_path, node, entries):
+        """A replica is judged like a disk read: an entry with a
+        dependency map stays fresh while the map matches, whatever the
+        whole-registry digest says."""
+        entry = _tracked(node, entries)[0]
+        store = MetricCatalogStore(tmp_path, shards=2)
+        store.put(entry)
+        key = (entry.arch, entry.metric, entry.config_digest)
+        with obs.tracing(seed=7) as tracer:
+            first = store.latest(
+                *key,
+                events_digest=entry.events_digest,
+                event_digests=entry.event_digests,
+            )
+            # Another domain's event was edited: the registry digest moved,
+            # this entry's map did not.
+            again = store.latest(
+                *key, events_digest="0" * 16, event_digests=dict(entry.event_digests)
+            )
+            assert again is first
+            assert tracer.counters["shard.replica_hits"] == 1
+            assert "shard.replica_invalidations" not in tracer.counters
+            assert tracer.counters["catalog.hits"] == 1
+            # An edit inside the map still invalidates.
+            drifted = dict(entry.event_digests)
+            drifted[next(iter(drifted))] = "f" * 16
+            assert store.latest(*key, event_digests=drifted) is None
             assert tracer.counters["shard.replica_invalidations"] == 1
 
     def test_write_invalidates_replica(self, tmp_path, entries):
