@@ -344,8 +344,8 @@ class MeasurementCache:
         scratch.mkdir(parents=True, exist_ok=True)
         try:
             staged = scratch / key
-            save_measurements(measurement, staged)
-            checksums = self._digests(staged)
+            checksums: dict = {}
+            save_measurements(measurement, staged, checksums=checksums)
             self._checksum_path(staged).write_text(
                 json.dumps(checksums, sort_keys=True)
             )

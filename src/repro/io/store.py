@@ -1,20 +1,23 @@
 """Persistence for measurement sets and pipeline artifacts.
 
 Measurements are expensive to (re)collect on real machines, so CAT-style
-workflows snapshot them: the dense reading array goes into ``.npz`` and the
-labels into a JSON sidecar, making the artifact both compact and greppable.
+workflows snapshot them: the dense reading array goes into an uncompressed
+``.npz`` and the labels into a JSON sidecar, making the artifact both fast
+to write and greppable.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
-from typing import Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.cat.measurement import MeasurementSet
 from repro.guard.validate import require_finite, require_nonempty
+from repro.io.digest import sha256_hex
 from repro.papi.presets import PresetMetric, PresetTable
 
 __all__ = [
@@ -25,18 +28,29 @@ __all__ = [
 ]
 
 
-def save_measurements(measurement: MeasurementSet, path: Union[str, Path]) -> Path:
+def save_measurements(
+    measurement: MeasurementSet,
+    path: Union[str, Path],
+    *,
+    checksums: Optional[Dict[str, str]] = None,
+) -> Path:
     """Write a measurement set to ``<path>.npz`` + ``<path>.json``.
 
     Returns the npz path.  Any existing files are overwritten (snapshots
-    are immutable by convention: name them by benchmark + seed).
+    are immutable by convention: name them by benchmark + seed).  The
+    array is stored uncompressed: simulated readings are noisy floats
+    that deflate to only ~60% of their size at ~20x the write time.
+    :func:`load_measurements` reads compressed snapshots too.
+
+    When ``checksums`` is given it receives the SHA-256 of each file's
+    bytes as written, keyed ``"npz"`` and ``"json"`` (the measurement
+    cache's integrity sidecar), so nothing is read back to hash it.
     """
     path = Path(path)
     if path.suffix == ".npz":
         path = path.with_suffix("")
-    npz_path = path.with_suffix(".npz")
-    json_path = path.with_suffix(".json")
-    np.savez_compressed(npz_path, data=measurement.data)
+    archive = io.BytesIO()
+    np.savez(archive, data=measurement.data)
     meta = {
         "benchmark": measurement.benchmark,
         "row_labels": measurement.row_labels,
@@ -44,8 +58,15 @@ def save_measurements(measurement: MeasurementSet, path: Union[str, Path]) -> Pa
         "shape": list(measurement.data.shape),
         "pmu_runs": measurement.pmu_runs,
     }
-    json_path.write_text(json.dumps(meta, indent=2))
-    return npz_path
+    files = {
+        "npz": archive.getbuffer(),
+        "json": json.dumps(meta, indent=2).encode(),
+    }
+    for suffix, data in files.items():
+        path.with_suffix(f".{suffix}").write_bytes(data)
+        if checksums is not None:
+            checksums[suffix] = sha256_hex(data)
+    return path.with_suffix(".npz")
 
 
 def load_measurements(path: Union[str, Path]) -> MeasurementSet:

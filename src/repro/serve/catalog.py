@@ -619,7 +619,8 @@ class MetricCatalogStore:
     LRU and served again while the entry is fresh for the caller's
     evidence, by the same rule as a disk read (``shard.replica_hits``);
     a stale replica is dropped (``shard.replica_invalidations``) and the
-    read goes to disk, and a ``put`` of the key drops it.
+    read goes to disk.  A ``put`` installs the entry it stored (or
+    deduped to) as the key's replica; a torn publication drops it.
 
     With ``durable=True`` (the default) publication follows full fsync
     discipline: staged contents are synced before the rename, the parent
@@ -882,10 +883,16 @@ class MetricCatalogStore:
         re-serving an unchanged analysis must not grow the history.
         """
         stored = self._publish(entry)
-        # A write is the other invalidation edge: the replica of this
-        # key (if any) predates the new version.
-        with self._replica_lock:
-            self._replicas.pop((entry.arch, entry.metric, entry.config_digest), None)
+        key = (entry.arch, entry.metric, entry.config_digest)
+        if stored.version:
+            # The stored (or deduped) entry is the key's newest version:
+            # it replaces any older replica, so the next read of the key
+            # skips the disk.
+            self._replica_put(key, stored)
+        else:
+            # A torn publication stored nothing readable.
+            with self._replica_lock:
+                self._replicas.pop(key, None)
         return stored
 
     def _publish(self, entry: CatalogEntry) -> CatalogEntry:
@@ -897,6 +904,9 @@ class MetricCatalogStore:
         deps = map_text = None
         if entry.event_digests:
             event_digests, map_text, deps = self._encode_map(entry.event_digests)
+            # The store's copy of the map: the stored entry outlives the
+            # put as the key's replica.
+            entry = dataclasses.replace(entry, event_digests=event_digests)
         content = entry._content_digest(map_text)
         while True:
             versions = self._versions_in(entry_dir)

@@ -51,12 +51,15 @@ def http_exchange(
     path: str,
     body: Optional[bytes],
     timeout: float,
-) -> Tuple[int, Any]:
-    """One request on a fresh HTTP/1.0 connection: ``(status, JSON payload)``.
+) -> Tuple[int, bytes]:
+    """One request on a fresh HTTP/1.0 connection: ``(status, raw body)``.
 
-    Any failure to get a complete JSON response — refused, reset,
-    timed out, torn — raises :class:`TransportError`; an HTTP error
-    status is returned, not raised (the caller decides what it means).
+    Any failure to get a complete response — refused, reset, timed out,
+    or a body shorter than its ``Content-Length`` — raises
+    :class:`TransportError`; an HTTP error status is returned, not
+    raised (the caller decides what it means).  The body is returned
+    undecoded: the client decodes the JSON it uses, and the supervisor
+    front forwards a worker's bytes as they are.
     """
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
     where = f"{host}:{port}"
@@ -65,7 +68,7 @@ def http_exchange(
         try:
             conn.request(method, path, body=body or None, headers=headers)
             response = conn.getresponse()
-            raw = response.read()
+            return response.status, response.read()
         except TimeoutError as exc:
             raise TransportError(
                 f"no response from {where} within {timeout}s", exc
@@ -74,10 +77,6 @@ def http_exchange(
             raise TransportError(
                 f"{type(exc).__name__} talking to {where}: {exc}", exc
             ) from exc
-        try:
-            return response.status, json.loads(raw.decode() or "{}")
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise TransportError(f"torn response from {where}", exc) from exc
     finally:
         conn.close()
 
@@ -154,7 +153,8 @@ class CatalogClient:
         ``None`` makes one attempt.
     clock / sleep / transport:
         Test seams: monotonic clock, sleep function, and an
-        :func:`http_exchange`-shaped transport.
+        :func:`http_exchange`-shaped transport returning
+        ``(status, raw JSON body)``.
     """
 
     def __init__(
@@ -167,7 +167,7 @@ class CatalogClient:
         retry: Optional[RetryPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        transport: Callable[..., Tuple[int, Any]] = http_exchange,
+        transport: Callable[..., Tuple[int, bytes]] = http_exchange,
     ):
         self.host = host
         self.port = port
@@ -213,9 +213,15 @@ class CatalogClient:
                 timeout = max(0.001, min(timeout, remaining))
             attempts += 1
             try:
-                status, payload = self._transport(
+                status, raw = self._transport(
                     self.host, self.port, method, path, data, timeout
                 )
+                try:
+                    payload = json.loads(raw.decode() or "{}")
+                except (UnicodeDecodeError, ValueError) as exc:
+                    raise TransportError(
+                        f"torn response from {self.host}:{self.port}", exc
+                    ) from exc
                 if status == 429:
                     raise ServiceBusy(int(payload.get("queue_limit", 0)) or 1)
                 if status != 200:

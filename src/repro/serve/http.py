@@ -35,16 +35,21 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import threading
 import time
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.faults.chaos import ChaosInjector
 from repro.guard.validate import ValidationError
-from repro.serve.service import MetricService, ServiceError
+from repro.serve.catalog import CatalogEntry
+from repro.serve.service import MetricService, ServedMetric, ServiceError
 
 __all__ = [
+    "Body",
     "HttpMetricServer",
+    "RenderedEntries",
     "answer_connection",
     "format_response",
     "parse_analysis",
@@ -56,9 +61,19 @@ logger = logging.getLogger(__name__)
 _MAX_REQUEST_BYTES = 1 << 20  # 1 MiB: analysis requests are tiny JSON
 
 
-def format_response(status: int, payload: Dict[str, Any]) -> bytes:
-    """Render one HTTP/1.0 JSON response."""
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+#: A route's answer: a payload to render, or a JSON body already
+#: rendered exactly as :func:`format_response` would render one.
+Body = Union[Dict[str, Any], bytes]
+
+
+def format_response(status: int, payload: Body) -> bytes:
+    """Render one HTTP/1.0 JSON response (a ``bytes`` payload is the
+    rendered body, sent as is)."""
+    body = (
+        payload
+        if isinstance(payload, bytes)
+        else (json.dumps(payload, sort_keys=True) + "\n").encode()
+    )
     reason = {
         200: "OK",
         400: "Bad Request",
@@ -76,6 +91,65 @@ def format_response(status: int, payload: Dict[str, Any]) -> bytes:
         f"Connection: close\r\n\r\n"
     ).encode()
     return head + body
+
+
+class RenderedEntries:
+    """Each served catalog entry's JSON text, rendered once per process.
+
+    Catalog entries are immutable and the store's replica LRU hands out
+    the same :class:`~repro.serve.catalog.CatalogEntry` object on every
+    hit, so the text of ``ServedMetric(entry, "catalog").to_payload()``
+    is kept in an LRU keyed by the entry object (held, and checked by
+    identity).  Other answers are rendered every time: a stale answer's
+    age changes, and a fresh pipeline answer is asked for again only by
+    the requests coalesced onto it (its entry is the catalog's replica
+    from then on).  The cache is bounded by total text size and holds
+    a serving tier's hot set (12 keys of up to 7 metrics: ~1.4 MB).
+    """
+
+    #: Most characters of rendered text kept (ASCII: one byte each).
+    _CAPACITY_CHARS = 2 << 20
+
+    def __init__(self) -> None:
+        self._texts: OrderedDict[int, Tuple[CatalogEntry, str]] = OrderedDict()
+        self._chars = 0
+        self._lock = threading.Lock()
+
+    def text(self, served: ServedMetric) -> str:
+        """``json.dumps(served.to_payload(), sort_keys=True)``."""
+        if served.stale or served.source != "catalog":
+            return json.dumps(served.to_payload(), sort_keys=True)
+        key = id(served.entry)
+        with self._lock:
+            hit = self._texts.get(key)
+            if hit is not None and hit[0] is served.entry:
+                self._texts.move_to_end(key)
+                return hit[1]
+        text = json.dumps(served.to_payload(), sort_keys=True)
+        with self._lock:
+            old = self._texts.pop(key, None)
+            if old is not None:
+                self._chars -= len(old[1])
+            self._texts[key] = (served.entry, text)
+            self._chars += len(text)
+            while self._chars > self._CAPACITY_CHARS:
+                _, (_, evicted) = self._texts.popitem(last=False)
+                self._chars -= len(evicted)
+        return text
+
+    def metric_body(self, served: ServedMetric) -> bytes:
+        """The response body of one served metric."""
+        return (self.text(served) + "\n").encode()
+
+    def analysis_body(self, answers: Dict[str, ServedMetric]) -> bytes:
+        """The response body ``{"metrics": {name: payload}}`` of an
+        analysis, byte for byte what :func:`format_response` renders
+        (sorted keys, default separators) from the cached texts."""
+        items = ", ".join(
+            f"{json.dumps(name)}: {self.text(answers[name])}"
+            for name in sorted(answers)
+        )
+        return ('{"metrics": {' + items + "}}\n").encode()
 
 
 def _split_target(target: str) -> Tuple[List[str], Dict[str, str]]:
@@ -120,12 +194,13 @@ def parse_analysis(
 async def answer_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
-    route: Callable[[str, str, bytes], Awaitable[Tuple[int, Dict[str, Any]]]],
+    route: Callable[[str, str, bytes], Awaitable[Tuple[int, Body]]],
 ) -> None:
     """Answer one connection: read ``(method, target, body)``, respond
-    with ``route``'s ``(status, payload)`` — exceptions mapped onto the
-    error envelope — and close.  An empty or garbled request line gets
-    no response.  Shared with the supervisor front."""
+    with ``route``'s ``(status, payload)`` — a dict or an already
+    rendered body; exceptions mapped onto the error envelope — and
+    close.  An empty or garbled request line gets no response.  Shared
+    with the supervisor front."""
     try:
         try:
             parts = (await reader.readline()).decode("latin-1").split()
@@ -187,6 +262,7 @@ class HttpMetricServer:
         self.chaos_scope = chaos_scope
         self._accepted = 0
         self._server: Optional[asyncio.AbstractServer] = None
+        self._rendered = RenderedEntries()
 
     async def start(self) -> int:
         """Start the service and the listener; returns the bound port."""
@@ -226,7 +302,7 @@ class HttpMetricServer:
 
     async def _route(
         self, method: str, target: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Body]:
         path, query = _split_target(target)
         if path == ["healthz"]:
             return 200, self.service.health()
@@ -242,15 +318,11 @@ class HttpMetricServer:
                 served = await self.service.get_metric(
                     system, domain, metric, seed=seed, faults=faults
                 )
-                return 200, served.to_payload()
+                return 200, self._rendered.metric_body(served)
             analyzed = await self.service.analyze(
                 system, domain, seed=seed, faults=faults
             )
-            return 200, {
-                "metrics": {
-                    name: answer.to_payload() for name, answer in analyzed.items()
-                }
-            }
+            return 200, self._rendered.analysis_body(analyzed)
 
         if path[:2] == ["v1", "catalog"]:
             return self._route_catalog(path[2:], query)

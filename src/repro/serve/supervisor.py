@@ -65,7 +65,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.obs import get_tracer
 from repro.serve.catalog import FsckReport, MetricCatalogStore
 from repro.serve.client import http_exchange
-from repro.serve.http import answer_connection, parse_analysis
+from repro.serve.http import Body, RenderedEntries, answer_connection, parse_analysis
 from repro.serve.service import (
     ServedMetric,
     ServiceError,
@@ -259,6 +259,7 @@ class ServiceSupervisor:
             self._store = MetricCatalogStore(
                 catalog_root, shards=self.config.shards
             )
+        self._rendered = RenderedEntries()
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -414,14 +415,15 @@ class ServiceSupervisor:
             return None
         return request[:4]
 
-    def _fresh_answer(self, method: str, target: str) -> Optional[Dict[str, Any]]:
+    def _fresh_answer(self, method: str, target: str) -> Optional[bytes]:
         """Front-replica read: answer ``GET /v1/metric/...`` from the
         dispatcher's own catalog view when the stored entry carries the
         full freshness evidence — the exact check a worker's catalog
         hit makes, fronted by the shard store's read replicas, so a hot
         key skips the internal hop entirely.  Returns None on any miss
         or doubt (the request is then forwarded to the pool as usual);
-        never serves stale or faulted requests."""
+        never serves stale or faulted requests.  The answer is the
+        rendered response body."""
         parsed = self._keyed_read(method, target)
         if parsed is None:
             return None
@@ -444,7 +446,7 @@ class ServiceSupervisor:
         with self._lock:
             self._front_serves += 1
         get_tracer().incr("shard.front_serves")
-        return ServedMetric(entry=entry, source="catalog").to_payload()
+        return self._rendered.metric_body(ServedMetric(entry=entry, source="catalog"))
 
     @staticmethod
     def _coalescing_identity(
@@ -466,12 +468,13 @@ class ServiceSupervisor:
 
     async def dispatch(
         self, method: str, target: str, body: bytes, *, timeout: float = 60.0
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Body]:
         """Proxy one request: fully-fresh keyed reads answered straight
         from the dispatcher's replica-fronted catalog view, then the
         worker already running an identical request, round-robin over
         live workers otherwise, re-dispatch on transport failure,
-        degrade to a stale catalog read when no worker is live."""
+        degrade to a stale catalog read when no worker is live.  A
+        worker's response body is forwarded as its bytes, undecoded."""
         loop = asyncio.get_running_loop()
         last_error: Optional[TransportError] = None
         if method == "GET":
@@ -671,7 +674,7 @@ class SupervisorServer:
 
     async def _route(
         self, method: str, target: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Body]:
         if target.split("?")[0] == "/supervisor/status":
             return 200, self.supervisor.status()
         return await self.supervisor.dispatch(

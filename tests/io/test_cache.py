@@ -187,3 +187,86 @@ class TestPmuRunsPersistence:
         del meta["pmu_runs"]
         sidecar.write_text(json.dumps(meta))
         assert load_measurements(path).pmu_runs is None
+
+
+class TestEntryLayout:
+    """Entries are written as uncompressed ``.npz`` files; entries
+    written compressed (as earlier releases did) still verify and read."""
+
+    def test_compressed_entry_still_verifies_and_reads(
+        self, tmp_path, node, bench, registry, measurement
+    ):
+        import json
+
+        from repro.io.digest import file_digest
+
+        key = measurement_cache_key(node, bench, registry, 2)
+        path = tmp_path / key[:2] / key
+        path.parent.mkdir(parents=True)
+        # The earlier writer: savez_compressed, indented metadata, and a
+        # checksum sidecar over both files.
+        np.savez_compressed(path.with_suffix(".npz"), data=measurement.data)
+        meta = {
+            "benchmark": measurement.benchmark,
+            "row_labels": measurement.row_labels,
+            "event_names": measurement.event_names,
+            "shape": list(measurement.data.shape),
+            "pmu_runs": measurement.pmu_runs,
+        }
+        path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
+        path.with_suffix(".sha256").write_text(
+            json.dumps(
+                {
+                    suffix: file_digest(path.with_suffix(f".{suffix}"))
+                    for suffix in ("npz", "json")
+                },
+                sort_keys=True,
+            )
+        )
+        assert MeasurementCache(root=tmp_path).verify_all() == []
+        cache = MeasurementCache(root=tmp_path)
+        loaded = cache.get(key)
+        assert cache.stats.disk_hits == 1 and cache.stats.corrupt == 0
+        assert loaded.data.tobytes() == measurement.data.tobytes()
+        assert loaded.data.dtype == measurement.data.dtype
+        assert loaded.pmu_runs == measurement.pmu_runs
+        assert loaded.event_names == measurement.event_names
+
+    def test_new_entry_is_uncompressed_and_sidecar_matches_files(
+        self, tmp_path, node, bench, registry, measurement
+    ):
+        import json
+        import zipfile
+
+        from repro.io.digest import file_digest
+
+        key = measurement_cache_key(node, bench, registry, 2)
+        MeasurementCache(root=tmp_path).put(key, measurement)
+        path = tmp_path / key[:2] / key
+        with zipfile.ZipFile(path.with_suffix(".npz")) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+        assert json.loads(path.with_suffix(".sha256").read_text()) == {
+            suffix: file_digest(path.with_suffix(f".{suffix}"))
+            for suffix in ("npz", "json")
+        }
+        loaded = MeasurementCache(root=tmp_path).get(key)
+        assert loaded.data.tobytes() == measurement.data.tobytes()
+        assert loaded.pmu_runs == measurement.pmu_runs
+
+    def test_byte_flipped_uncompressed_entry_is_quarantined(
+        self, tmp_path, node, bench, registry, measurement
+    ):
+        key = measurement_cache_key(node, bench, registry, 2)
+        MeasurementCache(root=tmp_path).put(key, measurement)
+        npz = (tmp_path / key[:2] / key).with_suffix(".npz")
+        blob = bytearray(npz.read_bytes())
+        # A byte inside the stored array: an uncompressed archive has no
+        # deflate stream to fail on, so only the checksum catches it.
+        blob[len(blob) // 2] ^= 0xFF
+        npz.write_bytes(bytes(blob))
+        cache = MeasurementCache(root=tmp_path)
+        assert cache.get(key) is None
+        assert cache.quarantined == [key] and cache.stats.corrupt == 1
+        assert (tmp_path / "quarantine" / npz.name).exists()

@@ -5,6 +5,7 @@ and clock/sleep are simulated so backoff and deadline behaviour is
 exact and instant.
 """
 
+import json
 import threading
 
 import pytest
@@ -32,17 +33,20 @@ class FakeClock:
 
 def _scripted(script, clock):
     """Pop the next scripted behaviour: an exception is raised (after a
-    simulated 10 ms), a ``(status, payload)`` pair is returned as is, a
-    dict is a 200 payload, anything else a 200 ``{"ok": value}``."""
+    simulated 10 ms), a ``(status, payload)`` pair is answered as is, a
+    dict is a 200 payload, anything else a 200 ``{"ok": value}``.  The
+    payload goes out as the transport's raw JSON body."""
     action = script.pop(0) if script else "ok"
     if isinstance(action, Exception):
         clock.sleep(0.01)
         raise action
     if isinstance(action, tuple):
-        return action
-    if isinstance(action, dict):
-        return 200, action
-    return 200, {"metric": "m", "ok": action}
+        status, payload = action
+    elif isinstance(action, dict):
+        status, payload = 200, action
+    else:
+        status, payload = 200, {"metric": "m", "ok": action}
+    return status, json.dumps(payload).encode()
 
 
 def _client(scripts, clock=None, **kwargs):

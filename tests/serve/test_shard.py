@@ -444,9 +444,10 @@ class TestShardedFanOut:
 
 class TestReadReplicas:
     def test_fresh_read_is_replicated_and_hit(self, tmp_path, entries):
-        store = MetricCatalogStore(tmp_path, shards=2)
         entry = entries[0]
-        store.put(entry)
+        MetricCatalogStore(tmp_path, shards=2).put(entry)
+        # A store that did not write the entry reads it from disk first.
+        store = MetricCatalogStore(tmp_path, shards=2)
         with obs.tracing(seed=7) as tracer:
             first = store.latest(
                 entry.arch,
@@ -467,9 +468,9 @@ class TestReadReplicas:
             assert tracer.counters["shard.routes"] == 1
 
     def test_unsharded_root_is_fronted_by_replicas(self, tmp_path, entries):
-        store = MetricCatalogStore(tmp_path)
         entry = entries[0]
-        store.put(entry)
+        MetricCatalogStore(tmp_path).put(entry)
+        store = MetricCatalogStore(tmp_path)
         with obs.tracing(seed=7) as tracer:
             for _ in range(3):
                 store.latest(
@@ -511,8 +512,8 @@ class TestReadReplicas:
         dependency map stays fresh while the map matches, whatever the
         whole-registry digest says."""
         entry = _tracked(node, entries)[0]
+        MetricCatalogStore(tmp_path, shards=2).put(entry)
         store = MetricCatalogStore(tmp_path, shards=2)
-        store.put(entry)
         key = (entry.arch, entry.metric, entry.config_digest)
         with obs.tracing(seed=7) as tracer:
             first = store.latest(
@@ -536,22 +537,66 @@ class TestReadReplicas:
             assert tracer.counters["shard.replica_invalidations"] == 1
 
     def test_write_invalidates_replica(self, tmp_path, entries):
+        """A put replaces the key's replica with the entry it stored (a
+        new version, or the version it deduped to); a torn publication
+        drops it."""
         store = MetricCatalogStore(tmp_path, shards=2)
         entry = entries[0]
-        store.put(entry)
-        store.latest(
-            entry.arch,
-            entry.metric,
-            entry.config_digest,
-            events_digest=entry.events_digest,
+        key = (entry.arch, entry.metric, entry.config_digest)
+        first = store.put(entry)
+        assert store._replicas[key] is first
+        changed = store.put(dataclasses.replace(entry, error=entry.error + 1.0))
+        assert changed.version == 2 and store._replicas[key] is changed
+        with obs.tracing(seed=7) as tracer:
+            hit = store.latest(*key, events_digest=entry.events_digest)
+            assert hit is changed
+            assert tracer.counters["shard.replica_hits"] == 1
+            assert "catalog.hits" not in tracer.counters
+        deduped = store.put(dataclasses.replace(entry, error=entry.error + 1.0))
+        assert deduped.version == 2 and store._replicas[key] is deduped
+        torn = MetricCatalogStore(
+            tmp_path, failpoint=lambda site: "torn"
         )
-        assert len(store._replicas) == 1
-        store.put(entry)
-        assert len(store._replicas) == 0
+        torn._replica_put(key, changed)
+        assert torn.put(dataclasses.replace(entry, error=0.5)).version == 0
+        assert key not in torn._replicas
+
+    def test_put_replica_reads_like_disk(self, tmp_path):
+        """The entry a put keeps as its replica carries exactly the
+        payload a store that did not write it reads from disk, for every
+        entry of a seed-2024 aurora build."""
+        from repro.core.sweep import SYSTEM_DOMAINS
+        from repro.incr import domain_event_digests
+        from repro.serve.catalog import entries_from_result
+
+        node = aurora_node(seed=2024)
+        writer = MetricCatalogStore(tmp_path / "catalog")
+        stored = []
+        for domain in SYSTEM_DOMAINS["aurora"]:
+            result = AnalysisPipeline.for_domain(domain, node).run()
+            for entry in entries_from_result(
+                result,
+                arch=node.name,
+                seed=2024,
+                events_digest=event_set_digest(node.events),
+                event_digests=domain_event_digests(node.events, domain),
+            ):
+                stored.append(writer.put(entry))
+        reader = MetricCatalogStore(tmp_path / "catalog")
+        assert len(stored) == len(writer._replicas) > 0
+        for entry in stored:
+            key = (entry.arch, entry.metric, entry.config_digest)
+            replica = writer._replicas[key]
+            assert replica is entry
+            on_disk = reader.get(*key)
+            assert replica.to_payload() == on_disk.to_payload()
+            assert json.dumps(replica.to_payload(), sort_keys=True) == json.dumps(
+                on_disk.to_payload(), sort_keys=True
+            )
 
     def test_unchecked_reads_are_not_cached(self, tmp_path, entries):
+        MetricCatalogStore(tmp_path, shards=2).put(entries[0])
         store = MetricCatalogStore(tmp_path, shards=2)
-        store.put(entries[0])
         assert (
             store.latest(
                 entries[0].arch, entries[0].metric, entries[0].config_digest

@@ -6,6 +6,7 @@ the process-spawn count down.
 """
 
 import asyncio
+import json
 import time
 from unittest import mock
 
@@ -297,8 +298,9 @@ class TestSupervisedServing:
 
         target = f"/v1/metric/aurora/branch/{quote(METRIC)}?seed=7"
         with obs.tracing(seed=7) as tracer:
-            answer = supervisor._fresh_answer("GET", target)
-            assert answer is not None
+            body = supervisor._fresh_answer("GET", target)
+            assert body is not None
+            answer = json.loads(body)
             assert answer["metric"] == METRIC
             assert answer["stale"] is False
             assert answer["source"] == "catalog"
